@@ -28,7 +28,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	db, err := load(flag.Arg(0))
+	db, err := profile.LoadFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -38,7 +38,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pmdump: multiple databases need -merge")
 			os.Exit(2)
 		}
-		other, err := load(path)
+		other, err := profile.LoadFile(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -73,13 +73,4 @@ func main() {
 			lo, hi := profile.ConfidenceInterval(retired, db.S, 1.96)
 			return (hi - lo) / 2
 		}())
-}
-
-func load(path string) (*profile.DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return profile.LoadDB(f)
 }

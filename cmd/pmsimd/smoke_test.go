@@ -163,9 +163,13 @@ func TestPmsimdSmoke(t *testing.T) {
 	}
 
 	// The final checkpoint is CRC-valid and carries both shards.
-	loaded, err := profile.LoadFile(filepath.Join(dir, "agg.db"))
+	ck, err := ingest.LoadCheckpointFile(filepath.Join(dir, "agg.db"))
 	if err != nil {
 		t.Fatalf("final checkpoint: %v", err)
+	}
+	loaded, err := profile.LoadDB(bytes.NewReader(ck.Profile))
+	if err != nil {
+		t.Fatalf("final checkpoint profile: %v", err)
 	}
 	if loaded.Samples() != wantSamples {
 		t.Fatalf("checkpoint samples %d, want %d", loaded.Samples(), wantSamples)

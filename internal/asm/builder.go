@@ -83,13 +83,6 @@ func (b *Builder) DataLabel(name string) *Builder {
 	return b
 }
 
-// LabelValue returns the value bound to a label so far, for callers that
-// interleave emission and address computation.
-func (b *Builder) LabelValue(name string) (uint64, bool) {
-	v, ok := b.labels[name]
-	return v, ok
-}
-
 // Proc opens a procedure. Procedures must not nest; an open procedure is
 // closed by EndProc. A label with the procedure's name is bound as well.
 func (b *Builder) Proc(name string) *Builder {
@@ -151,9 +144,6 @@ func (b *Builder) Space(n uint64) *Builder {
 	return b
 }
 
-// DataAddr returns the current data cursor.
-func (b *Builder) DataAddr() uint64 { return b.dataAddr }
-
 // Emit appends a raw instruction.
 func (b *Builder) Emit(in isa.Inst) *Builder {
 	b.insts = append(b.insts, in)
@@ -193,9 +183,6 @@ func (b *Builder) Sub(rc, ra, rb isa.Reg) *Builder { return b.Op3(isa.OpSub, rc,
 
 // SubI emits rc = ra - imm.
 func (b *Builder) SubI(rc, ra isa.Reg, imm int64) *Builder { return b.OpI(isa.OpSub, rc, ra, imm) }
-
-// Mul emits rc = ra * rb (long latency).
-func (b *Builder) Mul(rc, ra, rb isa.Reg) *Builder { return b.Op3(isa.OpMul, rc, ra, rb) }
 
 // Lda emits rc = rb + imm.
 func (b *Builder) Lda(rc, rb isa.Reg, imm int64) *Builder {
@@ -246,12 +233,6 @@ func (b *Builder) Beq(ra isa.Reg, label string) *Builder { return b.CondBr(isa.O
 
 // Bne emits a branch to label when ra != 0.
 func (b *Builder) Bne(ra isa.Reg, label string) *Builder { return b.CondBr(isa.OpBne, ra, label) }
-
-// Blt emits a branch to label when ra < 0.
-func (b *Builder) Blt(ra isa.Reg, label string) *Builder { return b.CondBr(isa.OpBlt, ra, label) }
-
-// Bge emits a branch to label when ra >= 0.
-func (b *Builder) Bge(ra isa.Reg, label string) *Builder { return b.CondBr(isa.OpBge, ra, label) }
 
 // Jsr emits a direct call to label, linking in RegRA.
 func (b *Builder) Jsr(label string) *Builder {

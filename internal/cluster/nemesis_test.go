@@ -57,7 +57,7 @@ func newWALInstance(t *testing.T, id string, root string) *walInstance {
 	t.Helper()
 	dir := filepath.Join(root, id, "wal")
 	cfg := ingest.Config{QueueDepth: 256, Interval: 16, Width: 4, WALDir: dir}
-	svc, err := ingest.NewService(cfg, nil)
+	svc, err := ingest.NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func newTierInstance(t *testing.T, id string, queueDepth int) *tierInstance {
 		QueueDepth: queueDepth,
 		Interval:   16,
 		Width:      4,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

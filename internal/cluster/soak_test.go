@@ -150,7 +150,7 @@ func TestTierSaturationSoak(t *testing.T) {
 		if id == "c2" {
 			icfg.WALDir = c2WAL
 		}
-		svc, err := ingest.NewService(icfg, nil)
+		svc, err := ingest.NewService(icfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,7 +114,7 @@ func TestWitnessDiskLossRebuild(t *testing.T) {
 	// Total loss: the process, its memory, and its (absent here) disk all
 	// go away; a brand-new empty service takes over the ring identity.
 	instances[victim].ts.Close()
-	freshSvc, err := ingest.NewService(ingest.Config{QueueDepth: 64, Interval: 16, Width: 4}, nil)
+	freshSvc, err := ingest.NewService(ingest.Config{QueueDepth: 64, Interval: 16, Width: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestProbeMarksWALStalledDraining(t *testing.T) {
 		WALDir:        filepath.Join(dir, "wal"),
 		FsyncWindow:   time.Hour, // park the syncer: nothing commits
 		WALStallAfter: 20 * time.Millisecond,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

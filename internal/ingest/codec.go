@@ -20,12 +20,12 @@ import (
 // Layering the two envelopes keeps every integrity property of the disk
 // format on the wire: the inner CRC32-C catches payload damage, the
 // version field catches skew between old workers and a new collector,
-// and both decode failures surface as the same typed profile.Err*
+// and both decode failures surface as the same typed frame.Err*
 // errors callers already know how to classify.
 
 // ErrBadSubmit reports a submission whose JSON envelope is malformed:
 // undecodable JSON, a missing shard id, or an empty profile payload.
-// Damage *inside* the payload surfaces as profile.ErrCorrupt /
+// Damage *inside* the payload surfaces as frame.ErrCorrupt /
 // ErrTruncated / ErrVersionSkew instead.
 var ErrBadSubmit = errors.New("ingest: malformed submission")
 
@@ -48,7 +48,7 @@ func EncodeSubmit(shard string, db *profile.DB) ([]byte, error) {
 }
 
 // DecodeSubmit parses a submission body. Every failure is typed —
-// ErrBadSubmit for envelope problems, profile.ErrCorrupt/ErrTruncated/
+// ErrBadSubmit for envelope problems, frame.ErrCorrupt/ErrTruncated/
 // ErrVersionSkew for payload problems — and never a panic, whatever the
 // bytes; FuzzDecodeSubmit holds it to that. The caller bounds the body
 // size (http.MaxBytesReader); the inner decoder additionally caps the

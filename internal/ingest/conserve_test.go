@@ -55,7 +55,7 @@ func runConservationTrial(t *testing.T, seed int64) {
 		d := time.Duration(delay*50) * time.Microsecond
 		cfg.mergeHook = func(Submission) { time.Sleep(d) }
 	}
-	svc, err := NewService(cfg, nil)
+	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,15 @@ import (
 	"errors"
 	"testing"
 
+	"profileme/internal/frame"
 	"profileme/internal/profile"
+	"profileme/internal/wal"
 )
 
 // FuzzDecodeSubmit feeds the HTTP submission decoder arbitrary bytes —
 // the same contract FuzzLoadDB pins for the disk envelope, lifted to the
 // wire: every rejection is typed (ErrBadSubmit for envelope damage,
-// profile.ErrCorrupt/ErrTruncated/ErrVersionSkew for payload damage),
+// frame.ErrCorrupt/ErrTruncated/ErrVersionSkew for payload damage),
 // never a panic or an unbounded allocation, and an accepted submission is
 // immediately usable for queries and loss accounting.
 func FuzzDecodeSubmit(f *testing.F) {
@@ -48,9 +50,9 @@ func FuzzDecodeSubmit(f *testing.F) {
 		got, err := DecodeSubmit(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadSubmit) &&
-				!errors.Is(err, profile.ErrCorrupt) &&
-				!errors.Is(err, profile.ErrTruncated) &&
-				!errors.Is(err, profile.ErrVersionSkew) {
+				!errors.Is(err, frame.ErrCorrupt) &&
+				!errors.Is(err, frame.ErrTruncated) &&
+				!errors.Is(err, frame.ErrVersionSkew) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
@@ -94,4 +96,63 @@ func TestDecodeSubmitRoundTrip(t *testing.T) {
 	if err := got.DB.Save(&buf); err != nil {
 		t.Fatalf("decoded database not re-saveable: %v", err)
 	}
+}
+
+// FuzzReadCheckpoint holds the PMCK reader to the framing contract on
+// arbitrary bytes: a typed error or a clean decode, never a panic or an
+// unbounded allocation. An accepted checkpoint must survive a rewrite,
+// and its embedded profile must itself load or fail typed — Recover
+// trusts both.
+func FuzzReadCheckpoint(f *testing.F) {
+	var prof bytes.Buffer
+	if err := testShard(5, 12).Save(&prof); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, &Checkpoint{
+		Profile:     prof.Bytes(),
+		Applied:     []string{"a", "b"},
+		RefusedLoss: map[string]uint64{"c": 4},
+		HandoffKeys: map[string]uint64{"k": 2},
+		Barrier:     wal.Pos{Seg: 2, Off: 40},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:frame.HeaderLen])
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x08
+	f.Add(flipped)
+	f.Add(prof.Bytes()) // a bare profile database is not a checkpoint
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		typed := func(err error) bool {
+			return errors.Is(err, frame.ErrCorrupt) || errors.Is(err, frame.ErrTruncated) ||
+				errors.Is(err, frame.ErrVersionSkew)
+		}
+		ck, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			if !typed(err) {
+				t.Fatalf("untyped checkpoint error: %v", err)
+			}
+			return
+		}
+		if len(ck.Profile) > 0 {
+			if _, err := profile.LoadDB(bytes.NewReader(ck.Profile)); err != nil && !typed(err) {
+				t.Fatalf("untyped embedded profile error: %v", err)
+			}
+		}
+		var again bytes.Buffer
+		if err := WriteCheckpoint(&again, ck); err != nil {
+			t.Fatalf("accepted checkpoint not rewritable: %v", err)
+		}
+		back, err := ReadCheckpoint(&again)
+		if err != nil || back.Barrier != ck.Barrier || len(back.Applied) != len(ck.Applied) ||
+			!bytes.Equal(back.Profile, ck.Profile) {
+			t.Fatalf("rewritten checkpoint differs: %v", err)
+		}
+	})
 }

@@ -34,7 +34,7 @@ func encodeDonor(t *testing.T) ([]byte, uint64, []string) {
 // growth, conservation exact.
 func TestAcceptHandoffDuplicateDelivery(t *testing.T) {
 	body, captured, shards := encodeDonor(t)
-	svc, err := NewService(Config{QueueDepth: 8, Interval: 16, WALDir: filepath.Join(t.TempDir(), "wal")}, nil)
+	svc, err := NewService(Config{QueueDepth: 8, Interval: 16, WALDir: filepath.Join(t.TempDir(), "wal")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAcceptHandoffDuplicateDelivery(t *testing.T) {
 // produces. Exactly one must merge; the other must dedupe.
 func TestAcceptHandoffDuplicateConcurrent(t *testing.T) {
 	body, captured, _ := encodeDonor(t)
-	svc, err := NewService(Config{QueueDepth: 8, Interval: 16, WALDir: filepath.Join(t.TempDir(), "wal")}, nil)
+	svc, err := NewService(Config{QueueDepth: 8, Interval: 16, WALDir: filepath.Join(t.TempDir(), "wal")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestAcceptHandoffDedupeSurvivesRecovery(t *testing.T) {
 	body, captured, _ := encodeDonor(t)
 	dir := t.TempDir()
 	cfg := Config{QueueDepth: 8, Interval: 16, WALDir: filepath.Join(dir, "wal")}
-	s1, err := NewService(cfg, nil)
+	s1, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestAcceptHandoffDedupeSurvivesRecovery(t *testing.T) {
 func TestAdoptShards(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{QueueDepth: 8, Interval: 16, WALDir: filepath.Join(dir, "wal")}
-	s1, err := NewService(cfg, nil)
+	s1, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestAdoptShards(t *testing.T) {
 // the final word on this instance's books), while a duplicate of an
 // already-admitted shard still answers honestly.
 func TestSealRefusesWithoutLoss(t *testing.T) {
-	svc, err := NewService(Config{QueueDepth: 8, Interval: 16}, nil)
+	svc, err := NewService(Config{QueueDepth: 8, Interval: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"profileme/internal/frame"
 	"profileme/internal/profile"
 	"profileme/internal/wal"
 )
@@ -46,7 +48,7 @@ func conserve(t *testing.T, s *Service, want uint64, label string) {
 func TestRecoverWALOnly(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{QueueDepth: 16, Interval: 16, WALDir: filepath.Join(dir, "wal")}
-	s1, err := NewService(cfg, nil)
+	s1, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestRecoverCheckpointPlusTail(t *testing.T) {
 			mergedSoFar++
 		},
 	}
-	s1, err := NewService(cfg, nil)
+	s1, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestRecoverCheckpointPlusTail(t *testing.T) {
 func TestRecoverRefusedShardReplaysAsMerge(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{QueueDepth: 1, Interval: 16, WALDir: filepath.Join(dir, "wal")}
-	s1, err := NewService(cfg, nil)
+	s1, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestRecoverHandoffRecord(t *testing.T) {
 		// from an immediate checkpoint.
 		CheckpointEvery: 100,
 	}
-	s1, err := NewService(cfg, nil)
+	s1, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func TestRecoverHandoffRecord(t *testing.T) {
 func TestReplayIdempotence(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{QueueDepth: 16, Interval: 16, WALDir: filepath.Join(dir, "wal")}
-	s1, err := NewService(cfg, nil)
+	s1, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +301,7 @@ func TestPrefixConservationProperty(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
 	cfg := Config{QueueDepth: 2, Interval: 16, WALDir: walDir}
-	s1, err := NewService(cfg, nil)
+	s1, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +388,7 @@ func TestRecoverTornTail(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
 	cfg := Config{QueueDepth: 8, Interval: 16, WALDir: walDir}
-	s1, err := NewService(cfg, nil)
+	s1, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +452,7 @@ func TestDuplicateWaitsForOriginalDurability(t *testing.T) {
 			return injected
 		},
 	}
-	s, err := NewService(cfg, nil)
+	s, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +509,7 @@ func TestWALStallSignal(t *testing.T) {
 		FsyncWindow:   time.Hour, // syncer sleeps: staged records age
 		WALStallAfter: 10 * time.Millisecond,
 	}
-	s, err := NewService(cfg, nil)
+	s, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,5 +531,76 @@ func TestWALStallSignal(t *testing.T) {
 	}
 	if h := s.Stats().WAL; h == nil || !h.Stalled {
 		t.Fatalf("stats WAL section %+v, want Stalled", h)
+	}
+}
+
+// TestRecoverWithoutWAL covers the non-WAL restart path: the drain's
+// PMCK checkpoint restores the aggregate and the admission ledger; a
+// bare profile database at the checkpoint path is quarantined as
+// corrupt; a checkpoint from another format version is refused intact.
+func TestRecoverWithoutWAL(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{QueueDepth: 8, Interval: 16, CheckpointPath: filepath.Join(dir, "ckpt.db")}
+	s1, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Start()
+	var want uint64
+	for i := 0; i < 3; i++ {
+		sb := sub(fmt.Sprintf("shard-%d", i), uint64(i), 20+i)
+		want += sb.Captured()
+		if err := s1.Submit(sb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, info, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.CheckpointLoaded || info.CheckpointQuarantined || info.Replayed != 0 {
+		t.Fatalf("recovery info %+v, want checkpoint loaded, nothing replayed", info)
+	}
+	if !bytes.Equal(aggDigest(t, s1), aggDigest(t, s2)) {
+		t.Fatal("recovered aggregate differs from the drained one")
+	}
+	if err := s2.Submit(sub("shard-1", 1, 21)); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("post-restart retry: err=%v, want ErrDuplicate", err)
+	}
+	conserve(t, s2, want, "after restart")
+
+	// Another format version is intact data this build cannot read:
+	// refused, and left where it is.
+	good, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := append([]byte(nil), good...)
+	skewed[4]++
+	if err := os.WriteFile(cfg.CheckpointPath, skewed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(cfg); !errors.Is(err, frame.ErrVersionSkew) {
+		t.Fatalf("version-skewed checkpoint: err=%v, want ErrVersionSkew", err)
+	}
+
+	// A bare PMDB is not a checkpoint: quarantined, start empty, and the
+	// quarantined bytes still load as a profile database.
+	if err := profile.WriteAtomic(cfg.CheckpointPath, s2.Aggregate().Save); err != nil {
+		t.Fatal(err)
+	}
+	s3, info, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.CheckpointQuarantined || info.CheckpointLoaded || s3.Aggregate().Samples() != 0 {
+		t.Fatalf("bare PMDB: info %+v, %d samples; want quarantined and empty", info, s3.Aggregate().Samples())
+	}
+	if db, err := profile.LoadFile(cfg.CheckpointPath + ".corrupt"); err != nil || db.Samples()+db.Lost() != want {
+		t.Fatalf("quarantined PMDB unreadable or wrong: %v", err)
 	}
 }

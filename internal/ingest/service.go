@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"profileme/internal/frame"
 	"profileme/internal/profile"
 	"profileme/internal/wal"
 )
@@ -331,13 +332,11 @@ type Service struct {
 	replayedRecords int
 }
 
-// NewService builds a service. seed, when non-nil, becomes the aggregate
-// (e.g. a checkpoint reloaded at startup) and defines the sampling
-// configuration; otherwise an empty aggregate is built from cfg. With
-// cfg.WALDir set, any existing WAL tail there is replayed into the seed
-// (with an empty ledger — use Recover to restart from checkpoint + WAL).
-func NewService(cfg Config, seed *profile.DB) (*Service, error) {
-	return newService(cfg, seed, nil)
+// NewService builds a service around an empty aggregate configured from
+// cfg, ignoring any checkpoint. With cfg.WALDir set, any existing WAL
+// tail there is replayed (with an empty ledger); restarts use Recover.
+func NewService(cfg Config) (*Service, error) {
+	return newService(cfg, nil, nil)
 }
 
 // RecoveryInfo reports what Recover reconstructed.
@@ -347,9 +346,6 @@ type RecoveryInfo struct {
 	// and recovery proceeded from the WAL alone.
 	CheckpointLoaded      bool
 	CheckpointQuarantined bool
-	// LegacyCheckpoint is true when the checkpoint was a pre-WAL bare
-	// profile database (no ledger, no barrier).
-	LegacyCheckpoint bool
 	// Replay is the WAL scan: records re-applied or skipped, repairs.
 	Replay wal.ReplayInfo
 	// Replayed counts records actually applied (not skipped as covered
@@ -360,8 +356,10 @@ type RecoveryInfo struct {
 // Recover restarts a service from its durable state: the checkpoint (if
 // any) seeds the aggregate and the admission ledger, then the WAL tail
 // is replayed on top, truncating at the first torn record. A corrupt
-// checkpoint is quarantined (.corrupt) and recovery proceeds from the
-// WAL alone — conservation then rests on whatever the WAL retains.
+// or truncated checkpoint is quarantined (.corrupt) and recovery
+// proceeds from the WAL alone — conservation then rests on whatever the
+// WAL retains. A checkpoint from another format version is refused, not
+// quarantined: it is intact, and the build reading it is the problem.
 // cfg.WALDir may be "" (plain checkpoint restart, no WAL).
 func Recover(cfg Config) (*Service, RecoveryInfo, error) {
 	var info RecoveryInfo
@@ -372,8 +370,8 @@ func Recover(cfg Config) (*Service, RecoveryInfo, error) {
 		switch {
 		case err == nil:
 			info.CheckpointLoaded = ck != nil
-		case errors.Is(err, profile.ErrCorrupt) || errors.Is(err, profile.ErrTruncated):
-			if qerr := QuarantineCheckpoint(cfg.CheckpointPath); qerr != nil {
+		case errors.Is(err, frame.ErrCorrupt) || errors.Is(err, frame.ErrTruncated):
+			if qerr := os.Rename(cfg.CheckpointPath, cfg.CheckpointPath+".corrupt"); qerr != nil {
 				return nil, info, fmt.Errorf("ingest: recover: quarantine damaged checkpoint: %v (load error: %w)", qerr, err)
 			}
 			info.CheckpointQuarantined = true
@@ -389,7 +387,6 @@ func Recover(cfg Config) (*Service, RecoveryInfo, error) {
 			return nil, info, fmt.Errorf("ingest: recover: checkpoint profile: %w", err)
 		}
 		seed = db
-		info.LegacyCheckpoint = ck.Applied == nil && ck.RefusedLoss == nil && ck.Barrier.IsZero()
 	}
 	s, err := newService(cfg, seed, ck)
 	if err != nil {
@@ -474,13 +471,7 @@ func newService(cfg Config, seed *profile.DB, ck *Checkpoint) (*Service, error) 
 		}
 	}
 	if s.cfg.persist == nil {
-		if s.wal != nil {
-			s.cfg.persist = s.persistCheckpoint
-		} else {
-			s.cfg.persist = func() error {
-				return profile.WriteAtomic(s.cfg.CheckpointPath, s.agg.Save)
-			}
-		}
+		s.cfg.persist = s.persistCheckpoint
 	}
 	return s, nil
 }
@@ -827,9 +818,10 @@ func (s *Service) snapshotCheckpoint() (*Checkpoint, error) {
 	return ck, nil
 }
 
-// persistCheckpoint is the WAL-mode persist function: write the PMCK
-// envelope atomically, then advance the WAL barrier and reclaim the
-// segments the checkpoint now covers. Reclaim failure is logged, not
+// persistCheckpoint is the persist function: write the PMCK envelope
+// atomically, then (WAL mode) advance the WAL barrier and reclaim the
+// segments the checkpoint now covers. Without a WAL the barrier stays
+// zero and nothing is reclaimed. Reclaim failure is logged, not
 // fatal — the records are merely redundant, and the next checkpoint
 // retries.
 func (s *Service) persistCheckpoint() error {

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -26,7 +27,7 @@ func testServiceConfig(dir string) Config {
 // capacity is refused at admission, and every refused shard's captured
 // samples land in the aggregate's loss accounting — exactly.
 func TestServiceOverflowAccounting(t *testing.T) {
-	svc, err := NewService(testServiceConfig(t.TempDir()), nil)
+	svc, err := NewService(testServiceConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +70,13 @@ func TestServiceOverflowAccounting(t *testing.T) {
 	}
 
 	// The final checkpoint must be CRC-valid and carry the same totals.
-	loaded, err := profile.LoadFile(svc.cfg.CheckpointPath)
+	ck, err := LoadCheckpointFile(svc.cfg.CheckpointPath)
 	if err != nil {
 		t.Fatalf("final checkpoint: %v", err)
+	}
+	loaded, err := profile.LoadDB(bytes.NewReader(ck.Profile))
+	if err != nil {
+		t.Fatalf("final checkpoint profile: %v", err)
 	}
 	if loaded.Samples() != wantMerged || loaded.Lost() != wantLost {
 		t.Fatalf("checkpoint totals %d/%d, want %d/%d",
@@ -85,7 +90,7 @@ func TestServiceDropOldestAccounting(t *testing.T) {
 	cfg := testServiceConfig(t.TempDir())
 	cfg.Policy = DropOldest
 	cfg.QueueDepth = 2
-	svc, err := NewService(cfg, nil)
+	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +124,7 @@ func TestServiceDropOldestAccounting(t *testing.T) {
 }
 
 func TestServiceConfigMismatchRejectedWithoutLoss(t *testing.T) {
-	svc, err := NewService(testServiceConfig(t.TempDir()), nil)
+	svc, err := NewService(testServiceConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +153,7 @@ func TestServiceBreakerSuspendsCheckpoints(t *testing.T) {
 		mu.Unlock()
 		return errors.New("checkpoint device gone")
 	}
-	svc, err := NewService(cfg, nil)
+	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +202,7 @@ func TestServiceDrainWaitsForBacklog(t *testing.T) {
 		once.Do(func() { close(gate) })
 		<-release
 	}
-	svc, err := NewService(cfg, nil)
+	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +246,7 @@ func TestServiceRetryAfterRefusalReversesLoss(t *testing.T) {
 	cfg.QueueDepth = 1
 	merged := make(chan Submission, 4)
 	cfg.mergeHook = func(s Submission) { merged <- s }
-	svc, err := NewService(cfg, nil)
+	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +315,7 @@ func TestServiceRetryAfterRefusalReversesLoss(t *testing.T) {
 // twice — whether the original is still queued or already merged, and
 // even while the service is draining.
 func TestServiceDuplicateSubmission(t *testing.T) {
-	svc, err := NewService(testServiceConfig(t.TempDir()), nil)
+	svc, err := NewService(testServiceConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +351,7 @@ func TestServiceDuplicateSubmission(t *testing.T) {
 // TestServiceConfigMismatchDuringDrain: 409 outranks 503 — a shard from
 // a foreign population is never loss-accounted, draining or not.
 func TestServiceConfigMismatchDuringDrain(t *testing.T) {
-	svc, err := NewService(testServiceConfig(t.TempDir()), nil)
+	svc, err := NewService(testServiceConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +371,7 @@ func TestServiceConfigMismatchDuringDrain(t *testing.T) {
 // ErrQueueFull's retry-soon — and the retry-then-503 sequence must not
 // account the shard's loss twice.
 func TestServiceClosedQueueRefusesAsDraining(t *testing.T) {
-	svc, err := NewService(testServiceConfig(t.TempDir()), nil)
+	svc, err := NewService(testServiceConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func benchmarkSubmit(b *testing.B, cfg Config) {
 	b.Helper()
 	cfg.QueueDepth = 1 << 16
 	cfg.Interval = 16
-	s, err := NewService(cfg, nil)
+	s, err := NewService(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func BenchmarkSubmitNoWALDurable(b *testing.B) {
 		Interval:       16,
 		CheckpointPath: dir + "/ckpt.db",
 	}
-	s, err := NewService(cfg, nil)
+	s, err := NewService(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

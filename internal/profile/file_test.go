@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"profileme/internal/core"
+	"profileme/internal/frame"
 )
 
 // fileDB builds a small database with a distinguishing sample count.
@@ -114,7 +115,7 @@ func TestLoadFileCorruptTyped(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := LoadFile(path); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("bit-flipped file not typed ErrCorrupt: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"profileme/internal/core"
+	"profileme/internal/frame"
 )
 
 // FuzzLoadDB feeds LoadDB arbitrary bytes. The contract under test: every
@@ -28,19 +29,19 @@ func FuzzLoadDB(f *testing.F) {
 
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:headerBytes])
+	f.Add(valid[:frame.HeaderLen])
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 	f.Add([]byte{})
-	f.Add([]byte(dbMagic))
+	f.Add([]byte(dbFormat.Magic))
 	f.Add([]byte("not a profile database at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadDB(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) &&
-				!errors.Is(err, ErrVersionSkew) {
+			if !errors.Is(err, frame.ErrCorrupt) && !errors.Is(err, frame.ErrTruncated) &&
+				!errors.Is(err, frame.ErrVersionSkew) {
 				t.Fatalf("untyped load error: %v", err)
 			}
 			return

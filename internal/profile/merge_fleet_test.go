@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"profileme/internal/core"
+	"profileme/internal/frame"
 )
 
 // shardDB builds a shard-like database: per-PC samples with events and
@@ -141,7 +142,7 @@ func TestMergeCorruptShardRejectedBeforeMerge(t *testing.T) {
 	}
 	img := buf.Bytes()
 	img[len(img)/2] ^= 0x08
-	if _, err := LoadDB(bytes.NewReader(img)); !errors.Is(err, ErrCorrupt) {
+	if _, err := LoadDB(bytes.NewReader(img)); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("corrupt shard not typed ErrCorrupt: %v", err)
 	}
 }

@@ -2,44 +2,21 @@ package profile
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"profileme/internal/frame"
 )
 
-// Typed persistence failures. LoadDB wraps every failure in exactly one of
-// these, so callers can distinguish a damaged file from a stale format
-// with errors.Is and react (retry, re-collect, run a migration) instead of
-// parsing message text.
-var (
-	// ErrCorrupt: the bytes are not a profile database — bad magic,
-	// checksum mismatch, or an undecodable payload.
-	ErrCorrupt = errors.New("profile: database corrupt")
-	// ErrTruncated: the stream ended before the envelope said it would
-	// (interrupted Save, partial copy).
-	ErrTruncated = errors.New("profile: database truncated")
-	// ErrVersionSkew: a well-formed database written by a different
-	// format version, including pre-envelope (naked gob) files.
-	ErrVersionSkew = errors.New("profile: database version skew")
-)
-
-// The on-disk envelope: magic, format version, payload length, gob
-// payload, CRC32-C of the payload. The checksum turns silent bit rot and
+// The on-disk database is a frame envelope (DESIGN.md §7 "Framing") with
+// magic PMDB around a gob payload. The checksum turns silent bit rot and
 // truncation into typed load errors instead of garbage decodes.
-const (
-	dbMagic   = "PMDB"
-	dbVersion = 1
-	// maxImageBytes caps the declared payload so a forged length field
-	// cannot drive allocation (a compact per-PC image is megabytes, not
-	// gigabytes).
-	maxImageBytes = 1 << 28
-	headerBytes   = 16 // magic[4] + version u32 + payload length u64
-)
+var dbFormat = frame.Format{Magic: "PMDB", Version: 1}
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// maxImageBytes caps the declared payload so a forged length field cannot
+// drive allocation (a compact per-PC image is megabytes, not gigabytes).
+const maxImageBytes = 1 << 28
 
 // dbImage is the serialized form of a DB (the DCPI-style on-disk profile:
 // counts and sums only, no raw samples). Custom pair-metric functions are
@@ -74,71 +51,26 @@ func (db *DB) Save(w io.Writer) error {
 	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
 		return fmt.Errorf("profile: save: %w", err)
 	}
-	var hdr [headerBytes]byte
-	copy(hdr[0:4], dbMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], dbVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("profile: save: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("profile: save: %w", err)
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), crcTable))
-	if _, err := w.Write(crc[:]); err != nil {
+	if err := dbFormat.WriteEnvelope(w, payload.Bytes()); err != nil {
 		return fmt.Errorf("profile: save: %w", err)
 	}
 	return nil
 }
 
-// LoadDB reads a database written by Save. Any failure is typed: corrupt
-// or truncated input and version skew (including pre-envelope naked-gob
-// databases) return errors matching ErrCorrupt, ErrTruncated or
-// ErrVersionSkew — never a panic, a garbage database, or an unbounded
-// allocation.
+// LoadDB reads a database written by Save. Any failure is typed with
+// frame.ErrCorrupt, frame.ErrTruncated or frame.ErrVersionSkew — never a
+// panic, a garbage database, or an unbounded allocation.
 func LoadDB(r io.Reader) (*DB, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("profile: load: header: %w", ErrTruncated)
-	}
-	if string(hdr[0:4]) != dbMagic {
-		// Pre-envelope databases were naked gob streams. If the bytes
-		// decode as one, this is an old format, not damage.
-		legacy := io.MultiReader(bytes.NewReader(hdr[:]), io.LimitReader(r, maxImageBytes))
-		var img dbImage
-		if gob.NewDecoder(legacy).Decode(&img) == nil {
-			return nil, fmt.Errorf("profile: load: unversioned pre-v%d database: %w",
-				dbVersion, ErrVersionSkew)
-		}
-		return nil, fmt.Errorf("profile: load: bad magic: %w", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != dbVersion {
-		return nil, fmt.Errorf("profile: load: format v%d, this build reads v%d: %w",
-			v, dbVersion, ErrVersionSkew)
-	}
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	if n > maxImageBytes {
-		return nil, fmt.Errorf("profile: load: declared payload %d exceeds %d: %w",
-			n, maxImageBytes, ErrCorrupt)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("profile: load: payload: %w", ErrTruncated)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("profile: load: checksum: %w", ErrTruncated)
-	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("profile: load: checksum %08x != %08x: %w", got, want, ErrCorrupt)
+	payload, err := dbFormat.ReadEnvelope(r, maxImageBytes)
+	if err != nil {
+		return nil, fmt.Errorf("profile: load database: %w", err)
 	}
 	var img dbImage
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("profile: load: decode: %v: %w", err, ErrCorrupt)
+		return nil, fmt.Errorf("profile: load database: decode: %v: %w", err, frame.ErrCorrupt)
 	}
 	if !(img.S >= 0) || img.W < 0 || img.C < 0 || img.RetainAddrs < 0 {
-		return nil, fmt.Errorf("profile: load: impossible configuration: %w", ErrCorrupt)
+		return nil, fmt.Errorf("profile: load database: impossible configuration: %w", frame.ErrCorrupt)
 	}
 	db := NewDB(img.S, img.W, img.C)
 	db.TNear = img.TNear

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"profileme/internal/core"
+	"profileme/internal/frame"
 )
 
 // saveImage returns a freshly saved database image with addrs, a pair
@@ -33,13 +34,13 @@ func TestLoadTruncatedTyped(t *testing.T) {
 	img, _ := saveImage(t)
 	// Cut at every structurally interesting point: inside the header,
 	// inside the payload, inside the trailing checksum.
-	for _, cut := range []int{0, 3, headerBytes - 1, headerBytes,
-		headerBytes + 5, len(img) / 2, len(img) - 4, len(img) - 1} {
+	for _, cut := range []int{0, 3, frame.HeaderLen - 1, frame.HeaderLen,
+		frame.HeaderLen + 5, len(img) / 2, len(img) - 4, len(img) - 1} {
 		_, err := LoadDB(bytes.NewReader(img[:cut]))
 		if err == nil {
 			t.Fatalf("cut at %d accepted", cut)
 		}
-		if !errors.Is(err, ErrTruncated) {
+		if !errors.Is(err, frame.ErrTruncated) {
 			t.Fatalf("cut at %d: not typed ErrTruncated: %v", cut, err)
 		}
 	}
@@ -48,21 +49,21 @@ func TestLoadTruncatedTyped(t *testing.T) {
 func TestLoadBitFlipTyped(t *testing.T) {
 	img, _ := saveImage(t)
 	// Flip one bit in the payload: the checksum must catch it.
-	for _, at := range []int{headerBytes, headerBytes + 7, len(img) - 8} {
+	for _, at := range []int{frame.HeaderLen, frame.HeaderLen + 7, len(img) - 8} {
 		bad := append([]byte(nil), img...)
 		bad[at] ^= 0x10
 		_, err := LoadDB(bytes.NewReader(bad))
 		if err == nil {
 			t.Fatalf("flip at %d accepted", at)
 		}
-		if !errors.Is(err, ErrCorrupt) {
+		if !errors.Is(err, frame.ErrCorrupt) {
 			t.Fatalf("flip at %d: not typed ErrCorrupt: %v", at, err)
 		}
 	}
 	// Damaged magic is corruption too.
 	bad := append([]byte(nil), img...)
 	bad[0] = 'X'
-	if _, err := LoadDB(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+	if _, err := LoadDB(bytes.NewReader(bad)); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
 	}
 }
@@ -73,19 +74,19 @@ func TestLoadVersionSkewTyped(t *testing.T) {
 	bad := append([]byte(nil), img...)
 	bad[4] = 9
 	_, err := LoadDB(bytes.NewReader(bad))
-	if !errors.Is(err, ErrVersionSkew) {
+	if !errors.Is(err, frame.ErrVersionSkew) {
 		t.Fatalf("future version: %v", err)
 	}
 
-	// A pre-envelope database: naked gob, as the original Save wrote.
-	legacy := dbImage{S: 100, W: 80, C: 4, Samples: 3}
+	// A naked gob body (no envelope) is not a database: bad magic.
+	naked := dbImage{S: 100, W: 80, C: 4, Samples: 3}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(naked); err != nil {
 		t.Fatal(err)
 	}
 	_, err = LoadDB(&buf)
-	if !errors.Is(err, ErrVersionSkew) {
-		t.Fatalf("legacy gob not reported as version skew: %v", err)
+	if !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("naked gob not reported as corrupt: %v", err)
 	}
 }
 
@@ -96,7 +97,7 @@ func TestLoadAbsurdLengthRejected(t *testing.T) {
 		bad[i] = 0xff // declared payload ~2^64
 	}
 	_, err := LoadDB(bytes.NewReader(bad))
-	if !errors.Is(err, ErrCorrupt) {
+	if !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("absurd length: %v", err)
 	}
 }

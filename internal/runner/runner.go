@@ -489,14 +489,7 @@ func (f *Fleet) exec(ctx context.Context, job Job, seed uint64) (art *jobArtifac
 // so the whole campaign — including its backoff schedule — replays
 // deterministically.
 func (f *Fleet) backoff(id string, attempt int) time.Duration {
-	shift := attempt - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := f.cfg.BackoffBase << uint(shift)
-	if d <= 0 || d > f.cfg.BackoffMax {
-		d = f.cfg.BackoffMax
-	}
+	d := Backoff(f.cfg.BackoffBase, f.cfg.BackoffMax, attempt)
 	rng := stats.NewRNG(jobSeed(f.cfg.Seed, id, attempt) ^ 0xb0ff)
 	return time.Duration(float64(d) * (0.5 + rng.Float64()))
 }

@@ -173,27 +173,61 @@ func (s *HTTPSink) submitTo(ctx context.Context, client *http.Client, baseURL st
 }
 
 // submitShard delivers one completed shard to the configured sink with
-// the fleet's retry/backoff machinery: transient refusals (429/503/5xx/
-// transport) retry up to the attempt budget, permanent ones bail out
-// immediately. Failure never fails the job — the shard is already merged
-// locally — it is reported as degradation.
+// the fleet's retry/backoff machinery. Failure never fails the job — the
+// shard is already merged locally — it is reported as degradation.
 func (f *Fleet) submitShard(ctx context.Context, id string, db *profile.DB) error {
 	if f.cfg.Sink == nil {
 		return nil
 	}
+	return Retry{
+		MaxAttempts: f.cfg.MaxAttempts,
+		Delay:       func(attempt int) time.Duration { return f.backoff(id+"#submit", attempt) },
+		OnRetry: func(attempt int, err error) {
+			f.logf("job %s shard submission attempt %d failed: %v", id, attempt, err)
+		},
+	}.Submit(ctx, f.cfg.Sink, id, db)
+}
+
+// Retry is the one shard-delivery retry loop, shared by the fleet and
+// traffic replay: transient refusals (429/503/5xx/transport) retry up to
+// MaxAttempts, sleeping Delay(attempt) after failed attempt number
+// attempt; permanent refusals return at once. OnRetry, when set, hears
+// about each failure that will be retried.
+type Retry struct {
+	MaxAttempts int
+	Delay       func(attempt int) time.Duration
+	OnRetry     func(attempt int, err error)
+}
+
+// Submit delivers one shard, returning nil or the last failure.
+func (r Retry) Submit(ctx context.Context, sink Sink, shard string, db *profile.DB) error {
 	for attempt := 1; ; attempt++ {
-		err := f.cfg.Sink.Submit(ctx, id, db)
+		err := sink.Submit(ctx, shard, db)
 		if err == nil {
 			return nil
 		}
-		if ctx.Err() != nil || !transientErr(err) || attempt >= f.cfg.MaxAttempts {
+		if ctx.Err() != nil || !transientErr(err) || attempt >= r.MaxAttempts {
 			return err
 		}
-		f.logf("job %s shard submission attempt %d failed: %v", id, attempt, err)
+		if r.OnRetry != nil {
+			r.OnRetry(attempt, err)
+		}
 		select {
-		case <-time.After(f.backoff(id+"#submit", attempt)):
+		case <-time.After(r.Delay(attempt)):
 		case <-ctx.Done():
 			return err
 		}
 	}
+}
+
+// Backoff returns the delay after failed attempt number attempt: base
+// doubled per earlier attempt, capped at limit. The shift is clamped and
+// an overflowed product falls back to limit, so a large attempt count
+// waits the cap instead of wrapping to a negative, immediate retry.
+func Backoff(base, limit time.Duration, attempt int) time.Duration {
+	shift := min(max(attempt-1, 0), 62)
+	if d := base << shift; d > 0 && d>>shift == base && d <= limit {
+		return d
+	}
+	return limit
 }

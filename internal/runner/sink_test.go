@@ -7,12 +7,40 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"profileme/internal/cpu"
 	"profileme/internal/ingest"
 	"profileme/internal/profile"
 	"profileme/internal/server"
 )
+
+// TestBackoffBounded: every retry delay is positive and within its cap,
+// however many attempts the caller allows. Replay's knobs (100ms base,
+// 32x cap, -attempts up to 64) once overflowed the doubling into
+// negative, immediate retries from attempt 38 on.
+func TestBackoffBounded(t *testing.T) {
+	for _, c := range []struct{ base, limit time.Duration }{
+		{100 * time.Millisecond, 3200 * time.Millisecond}, // traffic replay default
+		{100 * time.Millisecond, 5 * time.Second},         // fleet default
+		{time.Microsecond, 10 * time.Microsecond},
+		{time.Hour, 24 * time.Hour},
+		{time.Duration(1<<62 + 1), time.Duration(1<<63 - 1)},
+	} {
+		prev := time.Duration(0)
+		for attempt := 1; attempt <= 64; attempt++ {
+			d := Backoff(c.base, c.limit, attempt)
+			if d <= 0 || d > c.limit || d < prev {
+				t.Fatalf("Backoff(%v, %v, %d) = %v, want in (0, %v] and not below attempt %d's %v",
+					c.base, c.limit, attempt, d, c.limit, attempt-1, prev)
+			}
+			prev = d
+		}
+		if got := Backoff(c.base, c.limit, 1); got != min(c.base, c.limit) {
+			t.Fatalf("first delay %v, want base %v", got, c.base)
+		}
+	}
+}
 
 func TestSubmitErrorTaxonomy(t *testing.T) {
 	transient := []int{0, http.StatusTooManyRequests, http.StatusServiceUnavailable,
@@ -150,7 +178,7 @@ func TestHTTPSinkAgainstService(t *testing.T) {
 		QueueDepth: 16,
 		Interval:   512,
 		Width:      cpu.DefaultConfig().SustainedIssueWidth,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

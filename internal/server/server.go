@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"profileme/internal/core"
+	"profileme/internal/frame"
 	"profileme/internal/ingest"
 	"profileme/internal/profile"
 )
@@ -213,16 +214,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sub, err := ingest.DecodeSubmit(body)
 	if err != nil {
-		kind := "malformed"
-		switch {
-		case errors.Is(err, profile.ErrCorrupt):
-			kind = "corrupt"
-		case errors.Is(err, profile.ErrTruncated):
-			kind = "truncated"
-		case errors.Is(err, profile.ErrVersionSkew):
-			kind = "version-skew"
-		}
-		s.writeErr(w, http.StatusBadRequest, kind, err.Error())
+		s.writeErr(w, http.StatusBadRequest, decodeErrKind(err), err.Error())
 		return
 	}
 	if s.cfg.Capture != nil {
@@ -292,16 +284,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	}
 	h, err := ingest.DecodeHandoff(body)
 	if err != nil {
-		kind := "malformed"
-		switch {
-		case errors.Is(err, profile.ErrCorrupt):
-			kind = "corrupt"
-		case errors.Is(err, profile.ErrTruncated):
-			kind = "truncated"
-		case errors.Is(err, profile.ErrVersionSkew):
-			kind = "version-skew"
-		}
-		s.writeErr(w, http.StatusBadRequest, kind, err.Error())
+		s.writeErr(w, http.StatusBadRequest, decodeErrKind(err), err.Error())
 		return
 	}
 	switch captured, err := s.svc.AcceptHandoff(h); {
@@ -831,4 +814,18 @@ func (s *Server) logf(format string, args ...any) {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	fmt.Fprintf(s.cfg.Log, prefix+format+"\n", args...)
+}
+
+// decodeErrKind maps a body decode failure to its wire kind: the frame
+// taxonomy for payload damage, "malformed" for everything else.
+func decodeErrKind(err error) string {
+	switch {
+	case errors.Is(err, frame.ErrCorrupt):
+		return "corrupt"
+	case errors.Is(err, frame.ErrTruncated):
+		return "truncated"
+	case errors.Is(err, frame.ErrVersionSkew):
+		return "version-skew"
+	}
+	return "malformed"
 }

@@ -48,7 +48,7 @@ func testService(t *testing.T, mutate func(*ingest.Config)) *ingest.Service {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	svc, err := ingest.NewService(cfg, nil)
+	svc, err := ingest.NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

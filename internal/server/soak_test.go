@@ -118,7 +118,7 @@ func TestOverloadSoak(t *testing.T) {
 		Interval:       soakInterval,
 		Width:          cpu.DefaultConfig().SustainedIssueWidth,
 		CheckpointPath: ckptPath,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +311,13 @@ func TestOverloadSoak(t *testing.T) {
 
 	// The mid-flood drain ended in a CRC-valid checkpoint carrying the
 	// full accounting.
-	loaded, err := profile.LoadFile(ckptPath)
+	ck, err := ingest.LoadCheckpointFile(ckptPath)
 	if err != nil {
 		t.Fatalf("final checkpoint: %v", err)
+	}
+	loaded, err := profile.LoadDB(bytes.NewReader(ck.Profile))
+	if err != nil {
+		t.Fatalf("final checkpoint profile: %v", err)
 	}
 	if loaded.Samples() != agg.Samples() || loaded.Lost() != agg.Lost() {
 		t.Fatalf("checkpoint totals %d/%d, aggregate %d/%d",

@@ -107,9 +107,6 @@ func (m *Machine) PC() uint64 { return m.pc }
 // Halted reports whether the program has ended.
 func (m *Machine) Halted() bool { return m.halted }
 
-// Executed returns the number of instructions executed so far.
-func (m *Machine) Executed() uint64 { return m.seq }
-
 // Reg returns the value of architectural register r.
 func (m *Machine) Reg(r isa.Reg) uint64 {
 	if r == isa.RegZero {

@@ -7,13 +7,11 @@ import (
 	"strings"
 )
 
-// Running accumulates streaming first and second moments plus extrema.
+// Running accumulates streaming first and second moments.
 // The zero value is an empty accumulator ready for use.
 type Running struct {
-	n          int64
-	mean, m2   float64
-	min, max   float64
-	hasExtrema bool
+	n        int64
+	mean, m2 float64
 }
 
 // Add folds x into the accumulator (Welford's algorithm).
@@ -22,13 +20,6 @@ func (a *Running) Add(x float64) {
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
-	if !a.hasExtrema || x < a.min {
-		a.min = x
-	}
-	if !a.hasExtrema || x > a.max {
-		a.max = x
-	}
-	a.hasExtrema = true
 }
 
 // N returns the number of samples added.
@@ -47,12 +38,6 @@ func (a *Running) Variance() float64 {
 
 // StdDev returns the population standard deviation.
 func (a *Running) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest sample, or 0 when empty.
-func (a *Running) Min() float64 { return a.min }
-
-// Max returns the largest sample, or 0 when empty.
-func (a *Running) Max() float64 { return a.max }
 
 // CoV returns the coefficient of variation (stddev/mean), or 0 when the
 // mean is 0.
@@ -81,9 +66,6 @@ func (a *Weighted) Add(x, w float64) {
 	a.mean += d * w / a.wsum
 	a.m2 += w * d * (x - a.mean)
 }
-
-// WeightSum returns the total weight added.
-func (a *Weighted) WeightSum() float64 { return a.wsum }
 
 // Mean returns the weighted mean.
 func (a *Weighted) Mean() float64 { return a.mean }

@@ -162,9 +162,6 @@ func TestRunningMoments(t *testing.T) {
 	if math.Abs(a.StdDev()-2) > 1e-12 {
 		t.Fatalf("stddev = %v", a.StdDev())
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("extrema = %v..%v", a.Min(), a.Max())
-	}
 	if math.Abs(a.CoV()-0.4) > 1e-12 {
 		t.Fatalf("CoV = %v", a.CoV())
 	}
@@ -227,8 +224,8 @@ func TestWeightedIgnoresZeroWeight(t *testing.T) {
 	w.Add(5, 2)
 	w.Add(1e9, 0)
 	w.Add(-1e9, -3)
-	if w.Mean() != 5 || w.WeightSum() != 2 {
-		t.Fatalf("mean=%v wsum=%v", w.Mean(), w.WeightSum())
+	if w.Mean() != 5 || w.wsum != 2 {
+		t.Fatalf("mean=%v wsum=%v", w.Mean(), w.wsum)
 	}
 }
 
@@ -357,18 +354,5 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, x := range xs {
-		seen[x] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }

@@ -2,11 +2,11 @@ package traffic
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"profileme/internal/frame"
 	"profileme/internal/ingest"
 	"profileme/internal/runner"
 )
@@ -140,6 +140,13 @@ func tallyCaptured(recs []Record, rep *Report) error {
 func deliver(ctx context.Context, recs []Record, sink runner.Sink, opts Options) (*Report, error) {
 	opts.normalize()
 	rep := newReport(recs)
+	// Transient refusals back off from opts.Backoff, doubling per
+	// attempt, capped at 32x base.
+	retry := runner.Retry{
+		MaxAttempts: opts.MaxAttempts,
+		Delay:       func(attempt int) time.Duration { return runner.Backoff(opts.Backoff, 32*opts.Backoff, attempt) },
+		OnRetry:     func(int, error) { rep.Retries++ },
+	}
 	start := time.Now()
 	for i := range recs {
 		rec := &recs[i]
@@ -149,12 +156,12 @@ func deliver(ctx context.Context, recs []Record, sink runner.Sink, opts Options)
 		}
 		if sub.Shard != rec.Shard {
 			return rep, fmt.Errorf("traffic: record %d: frame says shard %q, body says %q: %w",
-				i, rec.Shard, sub.Shard, ErrTraceCorrupt)
+				i, rec.Shard, sub.Shard, frame.ErrCorrupt)
 		}
 		if err := pace(ctx, start, rec.OffsetUS, opts.Speed); err != nil {
 			return rep, err
 		}
-		if err := submitWithRetry(ctx, sink, sub, opts, rep); err != nil {
+		if err := retry.Submit(ctx, sink, sub.Shard, sub.DB); err != nil {
 			rep.Failed++
 			logf(opts.Log, "traffic: record %d (%s) failed: %v", i, rec.Shard, err)
 			if ctx.Err() != nil {
@@ -187,33 +194,6 @@ func pace(ctx context.Context, start time.Time, offsetUS int64, speed float64) e
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// submitWithRetry applies the fleet's retry taxonomy: transient refusals
-// (429/503/5xx/transport) back off and retry within the attempt budget,
-// permanent refusals fail immediately.
-func submitWithRetry(ctx context.Context, sink runner.Sink, sub ingest.Submission, opts Options, rep *Report) error {
-	for attempt := 1; ; attempt++ {
-		err := sink.Submit(ctx, sub.Shard, sub.DB)
-		if err == nil {
-			return nil
-		}
-		var se *runner.SubmitError
-		transient := errors.As(err, &se) && se.Transient()
-		if ctx.Err() != nil || !transient || attempt >= opts.MaxAttempts {
-			return err
-		}
-		rep.Retries++
-		delay := opts.Backoff << (attempt - 1)
-		if max := opts.Backoff * 32; delay > max {
-			delay = max
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
 	}
 }
 

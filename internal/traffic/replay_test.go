@@ -25,7 +25,7 @@ func newCollector(t *testing.T, interval float64) *collector {
 		QueueDepth: 4,
 		Interval:   interval,
 		Width:      cpu.DefaultConfig().SustainedIssueWidth,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

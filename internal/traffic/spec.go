@@ -203,12 +203,3 @@ func ParseSpec(data []byte) (*Spec, error) {
 	}
 	return &sp, nil
 }
-
-// EncodeSpec renders the spec as canonical indented JSON — the byte
-// representation stored in trace headers, stable for a given Spec value.
-func EncodeSpec(sp *Spec) ([]byte, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(sp, "", "  ")
-}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"profileme/internal/frame"
 )
 
 // driveTrace materializes the test spec and writes its trace to a
@@ -79,8 +81,8 @@ func TestTraceTornTail(t *testing.T) {
 	// come back intact, then the typed truncation error.
 	torn := full[:len(full)-7]
 	meta, recs, err := ReadAll(bytes.NewReader(torn))
-	if !errors.Is(err, ErrTraceTruncated) {
-		t.Fatalf("torn tail: want ErrTraceTruncated, got %v", err)
+	if !errors.Is(err, frame.ErrTruncated) {
+		t.Fatalf("torn tail: want frame.ErrTruncated, got %v", err)
 	}
 	if meta.Spec == nil {
 		t.Fatal("torn tail lost the meta block")
@@ -93,12 +95,12 @@ func TestTraceTornTail(t *testing.T) {
 func TestTraceBitFlip(t *testing.T) {
 	full := driveTrace(t, smallSpec())
 	// Flip one bit inside the last record's payload (well past the
-	// header): the reader must answer ErrTraceCorrupt, not garbage.
+	// header): the reader must answer frame.ErrCorrupt, not garbage.
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)-20] ^= 0x40
 	_, _, err := ReadAll(bytes.NewReader(flipped))
-	if !errors.Is(err, ErrTraceCorrupt) {
-		t.Fatalf("bit flip: want ErrTraceCorrupt, got %v", err)
+	if !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("bit flip: want frame.ErrCorrupt, got %v", err)
 	}
 }
 
@@ -106,15 +108,15 @@ func TestTraceVersionSkewAndBadMagic(t *testing.T) {
 	full := driveTrace(t, smallSpec())
 	skewed := append([]byte(nil), full...)
 	skewed[4] = 99 // version field
-	if _, err := NewReader(bytes.NewReader(skewed)); !errors.Is(err, ErrTraceVersionSkew) {
-		t.Fatalf("version skew: want ErrTraceVersionSkew, got %v", err)
+	if _, err := NewReader(bytes.NewReader(skewed)); !errors.Is(err, frame.ErrVersionSkew) {
+		t.Fatalf("version skew: want frame.ErrVersionSkew, got %v", err)
 	}
 	notTrace := []byte("PMDBxxxxxxxxxxxxxxxx")
-	if _, err := NewReader(bytes.NewReader(notTrace)); !errors.Is(err, ErrTraceCorrupt) {
-		t.Fatalf("bad magic: want ErrTraceCorrupt, got %v", err)
+	if _, err := NewReader(bytes.NewReader(notTrace)); !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("bad magic: want frame.ErrCorrupt, got %v", err)
 	}
-	if _, err := NewReader(bytes.NewReader(full[:6])); !errors.Is(err, ErrTraceTruncated) {
-		t.Fatalf("short header: want ErrTraceTruncated, got %v", err)
+	if _, err := NewReader(bytes.NewReader(full[:6])); !errors.Is(err, frame.ErrTruncated) {
+		t.Fatalf("short header: want frame.ErrTruncated, got %v", err)
 	}
 }
 
@@ -141,7 +143,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := NewReader(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceTruncated) && !errors.Is(err, ErrTraceVersionSkew) {
+			if !errors.Is(err, frame.ErrCorrupt) && !errors.Is(err, frame.ErrTruncated) && !errors.Is(err, frame.ErrVersionSkew) {
 				t.Fatalf("untyped header error: %v", err)
 			}
 			return
@@ -152,7 +154,7 @@ func FuzzTraceDecode(f *testing.F) {
 				return
 			}
 			if err != nil {
-				if !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceTruncated) {
+				if !errors.Is(err, frame.ErrCorrupt) && !errors.Is(err, frame.ErrTruncated) {
 					t.Fatalf("untyped record error: %v", err)
 				}
 				return

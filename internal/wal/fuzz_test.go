@@ -3,27 +3,20 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"profileme/internal/frame"
 )
 
 // buildSegment assembles a syntactically valid segment image from
 // payloads, for use as fuzz seed corpus.
 func buildSegment(seq uint64, payloads ...[]byte) []byte {
 	var buf bytes.Buffer
-	var hdr [segHeaderBytes]byte
-	copy(hdr[0:4], segMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	buf.Write(hdr[:])
+	segFormat.WriteHeader(&buf, seq)
 	for _, p := range payloads {
-		var rec [recHeaderBytes]byte
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(p, crcTable))
-		buf.Write(rec[:])
-		buf.Write(p)
+		frame.WriteRecord(&buf, p)
 	}
 	return buf.Bytes()
 }

@@ -2,14 +2,13 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"time"
+
+	"profileme/internal/frame"
 )
 
 // ReplayInfo reports what a replay found and what it had to repair.
@@ -111,58 +110,35 @@ func replaySegment(cfg Config, path string, seq uint64, apply func(Pos, []byte) 
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
-	var hdr [segHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		info.Truncated = true
-		info.TruncatedAt = Pos{Seg: seq, Off: 0}
-		return 0, nil
-	}
-	if string(hdr[0:4]) != segMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != segVersion ||
-		binary.LittleEndian.Uint64(hdr[8:16]) != seq {
+	if word, err := segFormat.ReadHeader(r); err != nil || word != seq {
 		info.Truncated = true
 		info.TruncatedAt = Pos{Seg: seq, Off: 0}
 		return 0, nil
 	}
 	goodOff := int64(segHeaderBytes)
-	var rec [recHeaderBytes]byte
-	var payload bytes.Buffer
+	var buf []byte
 	for {
 		pos := Pos{Seg: seq, Off: goodOff}
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			if err == io.EOF {
-				return goodOff, nil // clean end of segment
-			}
-			// Torn record header.
+		payload, err := frame.ReadRecord(r, int(cfg.MaxRecordBytes), buf)
+		if err == io.EOF {
+			return goodOff, nil // clean end of segment
+		}
+		if err != nil {
+			// Torn, over-cap or checksum-failed frame: everything from
+			// here on is suspect.
 			info.Truncated = true
 			info.TruncatedAt = pos
 			return goodOff, nil
 		}
-		n := binary.LittleEndian.Uint32(rec[0:4])
-		want := binary.LittleEndian.Uint32(rec[4:8])
-		if int64(n) > cfg.MaxRecordBytes {
-			info.Truncated = true
-			info.TruncatedAt = pos
-			return goodOff, nil
-		}
-		payload.Reset()
-		if _, err := io.CopyN(&payload, r, int64(n)); err != nil {
-			info.Truncated = true
-			info.TruncatedAt = pos
-			return goodOff, nil
-		}
-		if crc32.Checksum(payload.Bytes(), crcTable) != want {
-			info.Truncated = true
-			info.TruncatedAt = pos
-			return goodOff, nil
-		}
+		buf = payload
 		if apply != nil {
-			if err := apply(pos, payload.Bytes()); err != nil {
+			if err := apply(pos, payload); err != nil {
 				return goodOff, fmt.Errorf("wal: replay %s at %v: apply: %w", path, pos, err)
 			}
 		}
-		goodOff += int64(recHeaderBytes) + int64(n)
+		n := int64(recHeaderBytes + len(payload))
+		goodOff += n
 		info.Records++
-		info.Bytes += int64(recHeaderBytes) + int64(n)
+		info.Bytes += n
 	}
 }

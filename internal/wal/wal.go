@@ -2,9 +2,9 @@
 // of CRC-framed records spread across rotated segment files, with group
 // commit so hot-path appenders share fsyncs instead of paying one each.
 //
-// The durability contract mirrors the rest of the stack's envelope
-// conventions (DESIGN.md §7/§9): every record is length-prefixed and
-// CRC32-C framed, every segment opens with a versioned header, and a
+// The durability contract rides the repository's one framing layer
+// (internal/frame): every record is length-prefixed and CRC32-C
+// framed, every segment opens with a versioned header, and a
 // reader can always distinguish "the writer crashed mid-record" (torn
 // tail, truncate and continue) from "the bytes rotted" (checksum
 // mismatch, also truncate — everything after an invalid record is
@@ -28,29 +28,26 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"profileme/internal/frame"
 )
 
-// Segment and record framing.
+// Every segment opens with a frame header whose word is the segment's
+// sequence number; records are frame records (DESIGN.md §7 "Framing").
+var segFormat = frame.Format{Magic: "PMWS", Version: 1}
+
 const (
-	segMagic   = "PMWS"
-	segVersion = 1
-	// segHeaderBytes: magic[4] + version u32 + seq u64.
-	segHeaderBytes = 16
-	// recHeaderBytes: payload length u32 + CRC32-C u32.
-	recHeaderBytes = 8
+	segHeaderBytes = frame.HeaderLen
+	recHeaderBytes = frame.RecordHeaderLen
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Typed failures.
 var (
@@ -404,10 +401,7 @@ func (l *Log) newSegmentLocked(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment %d: %w", seq, err)
 	}
-	var hdr [segHeaderBytes]byte
-	copy(hdr[0:4], segMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
+	hdr := segFormat.Header(seq)
 	// On any failure past this point the half-created file must go away:
 	// rotation retries the same seq, and a leftover would turn one
 	// transient create error into a permanent "file exists".
@@ -473,9 +467,7 @@ func (l *Log) Stage(payload []byte) (Pos, *Ticket, error) {
 			return Pos{}, nil, err
 		}
 	}
-	var hdr [recHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	hdr := frame.RecordHeader(payload)
 	pos := Pos{Seg: l.seq, Off: l.off}
 	if _, err := l.f.Write(hdr[:]); err != nil {
 		l.wedged = err

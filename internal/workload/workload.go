@@ -19,7 +19,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"profileme/internal/isa"
 	"profileme/internal/stats"
@@ -126,17 +125,4 @@ func clampScale(scale, lo, hi int) int {
 		return hi
 	}
 	return scale
-}
-
-// DataLabels returns the sorted data labels of a program (debug helper
-// for workload tests).
-func DataLabels(p *isa.Program) []string {
-	var names []string
-	for name, addr := range p.Labels {
-		if addr >= 0x1_0000 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
