@@ -68,7 +68,7 @@ func DecodeSubmit(body []byte) (Submission, error) {
 	if err != nil {
 		return Submission{}, fmt.Errorf("ingest: submission %q: %w", env.Shard, err)
 	}
-	return Submission{Shard: env.Shard, DB: db}, nil
+	return Submission{Shard: env.Shard, DB: db, wire: env.Profile}, nil
 }
 
 // The drain-handoff wire format reuses the same double-envelope layering
@@ -91,6 +91,9 @@ type Handoff struct {
 	From string
 	// DB is the donor's aggregate, loss ledger included.
 	DB *profile.DB
+	// wire holds the PMDB bytes DecodeHandoff verified into DB; the
+	// WAL handoff record stages them verbatim.
+	wire []byte
 	// Shards are the shard ids the donor had admitted (queued or
 	// merged); the receiver marks them admitted so retries dedupe.
 	Shards []string
@@ -122,8 +125,8 @@ func HandoffKey(from string, profileBytes []byte, shards []string) string {
 }
 
 // EncodeHandoff serializes a donor aggregate for shipment to the ring
-// successor. save is the donor's serializer (SafeDB.Save) so the CRC
-// envelope is written under the aggregate's own lock.
+// successor. save is the donor's serializer (SafeDB.Save, which copies
+// the aggregate under its lock and encodes the copy outside it).
 func EncodeHandoff(from string, save func(io.Writer) error, shards []string) ([]byte, error) {
 	if from == "" {
 		return nil, fmt.Errorf("ingest: encode handoff: empty instance id: %w", ErrBadSubmit)
@@ -155,6 +158,7 @@ func DecodeHandoff(body []byte) (Handoff, error) {
 	return Handoff{
 		From:   env.From,
 		DB:     db,
+		wire:   env.Profile,
 		Shards: env.Shards,
 		Key:    HandoffKey(env.From, env.Profile, env.Shards),
 	}, nil

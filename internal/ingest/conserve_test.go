@@ -81,7 +81,7 @@ func runConservationTrial(t *testing.T, seed int64) {
 				db.RecordLoss(uint64(1 + rng.Intn(10)))
 			}
 		}
-		shards[i] = Submission{Shard: fmt.Sprintf("shard-%03d", i), DB: db}
+		shards[i] = wireSub(fmt.Sprintf("shard-%03d", i), db)
 	}
 
 	// Pre-draw every client's schedule from the single RNG so the trial is

@@ -72,6 +72,11 @@ type Submission struct {
 	// DB is the decoded shard database; the queue takes ownership.
 	DB *profile.DB
 
+	// wire holds the PMDB bytes DecodeSubmit CRC-checked and decoded
+	// into DB. Submit stages them verbatim as the WAL admit record's
+	// payload, so nothing re-encodes DB.
+	wire []byte
+
 	// walPos is where Submit staged this submission's admit record
 	// (zero when the WAL is disabled). It rides through the queue so
 	// the aggregator can release the position from the checkpoint

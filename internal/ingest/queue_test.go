@@ -28,8 +28,24 @@ func testShard(seed uint64, samples int) *profile.DB {
 	return db
 }
 
+// wireSub builds a submission the way the server does: EncodeSubmit on
+// the client, DecodeSubmit on the instance, so it carries the verified
+// profile bytes the WAL stages. The codec failing on a database built
+// in-process is a bug, hence the panic.
+func wireSub(shard string, db *profile.DB) Submission {
+	body, err := EncodeSubmit(shard, db)
+	if err != nil {
+		panic(err)
+	}
+	s, err := DecodeSubmit(body)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func sub(shard string, seed uint64, samples int) Submission {
-	return Submission{Shard: shard, DB: testShard(seed, samples)}
+	return wireSub(shard, testShard(seed, samples))
 }
 
 func TestQueueRejectNew(t *testing.T) {
@@ -58,9 +74,9 @@ func TestQueueDropOldest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Offer(Submission{Shard: "first", DB: testShard(1, 5)})
-	q.Offer(Submission{Shard: "second", DB: testShard(2, 5)})
-	dropped, res := q.Offer(Submission{Shard: "third", DB: testShard(3, 5)})
+	q.Offer(wireSub("first", testShard(1, 5)))
+	q.Offer(wireSub("second", testShard(2, 5)))
+	dropped, res := q.Offer(wireSub("third", testShard(3, 5)))
 	if res != OfferAccepted || len(dropped) != 1 || dropped[0].Shard != "first" {
 		t.Fatalf("drop-oldest: res=%v dropped=%v", res, dropped)
 	}
@@ -125,7 +141,7 @@ func TestQueueConcurrentOfferWait(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				name := string(rune('A'+p)) + "-" + string(rune('0'+i%10)) + string(rune('a'+(i/10)%26)) + string(rune('a'+i/260))
-				if _, res := q.Offer(Submission{Shard: name, DB: testShard(uint64(i), 1)}); res == OfferAccepted {
+				if _, res := q.Offer(wireSub(name, testShard(uint64(i), 1))); res == OfferAccepted {
 					accepted.Store(name, true)
 				}
 			}

@@ -81,7 +81,7 @@ func TestRecoverWALOnly(t *testing.T) {
 	}
 	// The 202s promised these shards are in: retries must dedupe.
 	for i := range subs {
-		resub := Submission{Shard: subs[i].Shard, DB: testShard(uint64(i), 20+i)}
+		resub := wireSub(subs[i].Shard, testShard(uint64(i), 20+i))
 		if err := s2.Submit(resub); !errors.Is(err, ErrDuplicate) {
 			t.Fatalf("post-crash retry of shard-%d: err=%v, want ErrDuplicate", i, err)
 		}
@@ -144,7 +144,7 @@ func TestRecoverCheckpointPlusTail(t *testing.T) {
 		t.Fatalf("crash-attributed loss: %d", lost)
 	}
 	for i := 0; i < 6; i++ {
-		resub := Submission{Shard: fmt.Sprintf("shard-%d", i), DB: testShard(uint64(i), 15+i)}
+		resub := wireSub(fmt.Sprintf("shard-%d", i), testShard(uint64(i), 15+i))
 		if err := s2.Submit(resub); !errors.Is(err, ErrDuplicate) {
 			t.Fatalf("retry of shard-%d: err=%v, want ErrDuplicate", i, err)
 		}
@@ -187,7 +187,7 @@ func TestRecoverRefusedShardReplaysAsMerge(t *testing.T) {
 	if lost := s2.Aggregate().Lost(); lost != 0 {
 		t.Fatalf("refused shard still accounted as loss (%d) though its payload was durable", lost)
 	}
-	if err := s2.Submit(Submission{Shard: "shard-b", DB: testShard(2, 40)}); !errors.Is(err, ErrDuplicate) {
+	if err := s2.Submit(wireSub("shard-b", testShard(2, 40))); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("retry of recovered refused shard: err=%v, want ErrDuplicate", err)
 	}
 }
@@ -217,7 +217,14 @@ func TestRecoverHandoffRecord(t *testing.T) {
 	}
 	donor.RecordLoss(5)
 	captured := donor.Samples() + donor.Lost()
-	h := Handoff{From: "collector-9", DB: donor, Shards: []string{"donor/s1", "donor/s2"}}
+	body, err := EncodeHandoff("collector-9", donor.Save, []string{"donor/s1", "donor/s2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := DecodeHandoff(body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got, err := s1.AcceptHandoff(h); err != nil || got != captured {
 		t.Fatalf("accept handoff: got %d err %v", got, err)
 	}
@@ -233,7 +240,7 @@ func TestRecoverHandoffRecord(t *testing.T) {
 		t.Fatalf("replayed %d, want the 1 handoff record", info.Replayed)
 	}
 	conserve(t, s2, captured, "handoff recovery")
-	if err := s2.Submit(Submission{Shard: "donor/s1", DB: testShard(7, 10)}); !errors.Is(err, ErrDuplicate) {
+	if err := s2.Submit(wireSub("donor/s1", testShard(7, 10))); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("donor shard after recovery: err=%v, want ErrDuplicate", err)
 	}
 	if s2.HandoffProvenance("donor/s2") != "collector-9" {
@@ -308,7 +315,7 @@ func TestPrefixConservationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 24; i++ {
 		shard := fmt.Sprintf("p-%d", rng.Intn(8)) // collisions: duplicates and retries
-		err := s1.Submit(Submission{Shard: shard, DB: testShard(uint64(i), 5+rng.Intn(20))})
+		err := s1.Submit(wireSub(shard, testShard(uint64(i), 5+rng.Intn(20))))
 		if err != nil && !errors.Is(err, ErrDuplicate) && !errors.Is(err, ErrQueueFull) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -603,4 +610,78 @@ func TestRecoverWithoutWAL(t *testing.T) {
 	if db, err := profile.LoadFile(cfg.CheckpointPath + ".corrupt"); err != nil || db.Samples()+db.Lost() != want {
 		t.Fatalf("quarantined PMDB unreadable or wrong: %v", err)
 	}
+}
+
+// TestPersistOrdering overlaps two checkpoint persists the way the merge
+// cadence and AcceptHandoff's cadence can: the first takes its snapshot
+// and stalls before writing, more shards are acknowledged and merged,
+// and a second persist starts. Persists must land in snapshot order.
+// Otherwise the second renames and reclaims first, the first then
+// renames its older barrier over it, and recovery loses the shards in
+// the reclaimed segments between the two barriers.
+func TestPersistOrdering(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		QueueDepth:      16,
+		Interval:        16,
+		WALDir:          filepath.Join(dir, "wal"),
+		WALSegmentBytes: 64, // one record per segment, so reclaim deletes records
+		CheckpointPath:  filepath.Join(dir, "ckpt.db"),
+		CheckpointEvery: 1000, // persists run only when the test calls them
+	}
+	s, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	admit := func(from, to int) {
+		for i := from; i < to; i++ {
+			sb := sub(fmt.Sprintf("shard-%d", i), uint64(i), 10+i)
+			want += sb.Captured()
+			if err := s.Submit(sb); err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+			queued, _ := s.q.Wait()
+			s.merge(queued)
+		}
+	}
+	admit(0, 3)
+
+	snapped, release := make(chan struct{}), make(chan struct{})
+	var persists atomic.Int32
+	s.afterSnapshot = func() {
+		if persists.Add(1) == 1 {
+			close(snapped)
+			<-release
+		}
+	}
+	older := make(chan error, 1)
+	go func() { older <- s.persistCheckpoint() }()
+	<-snapped
+	admit(3, 6)
+	newer := make(chan error, 1)
+	go func() { newer <- s.persistCheckpoint() }()
+	// Give the newer persist the chance to overtake; serialized persists
+	// keep it waiting until the older one has written and reclaimed.
+	select {
+	case err := <-newer:
+		newer <- err
+	case <-time.After(250 * time.Millisecond):
+	}
+	close(release)
+	for _, ch := range []chan error{older, newer} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.CloseWAL()
+	conserve(t, s2, want, "after overlapping persists and a crash")
 }

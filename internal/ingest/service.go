@@ -323,6 +323,13 @@ type Service struct {
 	// costs nothing. Ordered BEFORE mu (never acquire handoffMu while
 	// holding mu).
 	handoffMu sync.Mutex
+	// persistMu serializes persistCheckpoint from snapshot through
+	// reclaim, so checkpoint files land in barrier order. Ordered after
+	// handoffMu and before mu.
+	persistMu sync.Mutex
+	// afterSnapshot is a test seam: when set, persistCheckpoint calls it
+	// between taking its snapshot and writing the file.
+	afterSnapshot func()
 
 	wal             *wal.Log
 	walReplay       wal.ReplayInfo
@@ -537,8 +544,9 @@ func (s *Service) Submit(sub Submission) error {
 	if s.sealed.Load() {
 		return ErrDraining
 	}
-	// Serialize the WAL record outside any lock: gob encoding is the
-	// expensive part and needs nothing shared.
+	// Frame the WAL record outside any lock. It wraps the profile bytes
+	// DecodeSubmit already verified; past this point nothing needs them,
+	// so the queue does not pin them.
 	var rec []byte
 	if s.wal != nil {
 		var err error
@@ -546,6 +554,7 @@ func (s *Service) Submit(sub Submission) error {
 			return fmt.Errorf("%w: encode: %v", ErrWAL, err)
 		}
 	}
+	sub.wire = nil
 	// Reserve the shard id before touching the queue so two racing
 	// submissions of the same shard cannot both merge; the reservation is
 	// released again on refusal. The WAL record is staged in the same
@@ -769,30 +778,36 @@ func (s *Service) checkpoint() {
 	}
 }
 
-// snapshotCheckpoint captures a consistent checkpoint under mu: the
-// serialized aggregate, the full ledger, and the WAL barrier (the
-// lowest pending position, or the head when nothing is in flight).
-// Every state transition elsewhere is atomic under the same mutex, so
-// the snapshot can never catch a ledger entry without its aggregate
-// delta or vice versa. The file write happens outside the lock.
+// snapshotCheckpoint captures a consistent checkpoint. Only the copies
+// run under mu: the aggregate image, the full ledger, and the WAL
+// barrier (the lowest pending position, or the head when nothing is in
+// flight). Every state transition elsewhere is atomic under the same
+// mutex, so the snapshot can never catch a ledger entry without its
+// aggregate delta or vice versa. The profile encode runs after mu is
+// released, so Submit, AcceptHandoff and Stats never wait on gob.
 func (s *Service) snapshotCheckpoint() (*Checkpoint, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := s.agg.Save(&buf); err != nil {
+	img, ck := s.copyCheckpointLocked()
+	s.mu.Unlock()
+	if err := encodeCheckpoint(img, ck); err != nil {
 		return nil, err
 	}
+	return ck, nil
+}
+
+// copyCheckpointLocked copies the aggregate and the ledger and computes
+// the barrier. Caller holds mu.
+func (s *Service) copyCheckpointLocked() (*profile.Image, *Checkpoint) {
 	ck := &Checkpoint{
-		Profile:         buf.Bytes(),
 		Applied:         make([]string, 0, len(s.applied)),
 		RefusedLoss:     make(map[string]uint64, len(s.refusedLoss)),
 		HandoffFrom:     make(map[string]string, len(s.handoffFrom)),
 		AppliedHandoffs: make([]string, 0, len(s.appliedHandoffs)),
+		HandoffKeys:     make(map[string]uint64, len(s.handoffSeen)),
 	}
 	for sh := range s.applied {
 		ck.Applied = append(ck.Applied, sh)
 	}
-	sort.Strings(ck.Applied)
 	for sh, n := range s.refusedLoss {
 		ck.RefusedLoss[sh] = n
 	}
@@ -802,8 +817,6 @@ func (s *Service) snapshotCheckpoint() (*Checkpoint, error) {
 	for key := range s.appliedHandoffs {
 		ck.AppliedHandoffs = append(ck.AppliedHandoffs, key)
 	}
-	sort.Strings(ck.AppliedHandoffs)
-	ck.HandoffKeys = make(map[string]uint64, len(s.handoffSeen))
 	for key, captured := range s.handoffSeen {
 		ck.HandoffKeys[key] = captured
 	}
@@ -815,7 +828,20 @@ func (s *Service) snapshotCheckpoint() (*Checkpoint, error) {
 			}
 		}
 	}
-	return ck, nil
+	return s.agg.Image(), ck
+}
+
+// encodeCheckpoint does the part of a snapshot that needs no lock:
+// encode the aggregate image into ck and put the ledger lists in order.
+func encodeCheckpoint(img *profile.Image, ck *Checkpoint) error {
+	var buf bytes.Buffer
+	if err := img.Encode(&buf); err != nil {
+		return err
+	}
+	ck.Profile = buf.Bytes()
+	sort.Strings(ck.Applied)
+	sort.Strings(ck.AppliedHandoffs)
+	return nil
 }
 
 // persistCheckpoint is the persist function: write the PMCK envelope
@@ -824,10 +850,23 @@ func (s *Service) snapshotCheckpoint() (*Checkpoint, error) {
 // zero and nothing is reclaimed. Reclaim failure is logged, not
 // fatal — the records are merely redundant, and the next checkpoint
 // retries.
+//
+// Persists run one at a time, snapshot through reclaim. The merge
+// cadence, AcceptHandoff's cadence and FinalCheckpoint can all call
+// this at once (the breaker does not serialize a closed circuit), and
+// two overlapping persists could rename in the opposite order to their
+// snapshots: the older barrier would land on disk after the newer
+// persist reclaimed the segments between the two, and a crash would
+// lose the acknowledged records in them.
 func (s *Service) persistCheckpoint() error {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	ck, err := s.snapshotCheckpoint()
 	if err != nil {
 		return err
+	}
+	if s.afterSnapshot != nil {
+		s.afterSnapshot()
 	}
 	if err := profile.WriteAtomic(s.cfg.CheckpointPath, func(w io.Writer) error {
 		return WriteCheckpoint(w, ck)

@@ -128,7 +128,7 @@ func TestServiceConfigMismatchRejectedWithoutLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := Submission{Shard: "skewed", DB: profile.NewDB(999, 0, 4)}
+	bad := wireSub("skewed", profile.NewDB(999, 0, 4))
 	if err := svc.Submit(bad); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("mismatched shard: %v", err)
 	}
@@ -356,7 +356,7 @@ func TestServiceConfigMismatchDuringDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.BeginDrain()
-	bad := Submission{Shard: "skewed", DB: profile.NewDB(999, 0, 4)}
+	bad := wireSub("skewed", profile.NewDB(999, 0, 4))
 	if err := svc.Submit(bad); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("mismatched shard during drain: %v, want ErrConfigMismatch", err)
 	}

@@ -3,11 +3,15 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"profileme/internal/core"
+	"profileme/internal/profile"
 )
 
 // The acceptance bar for the WAL: at the default fsync window, group
@@ -17,7 +21,7 @@ import (
 // commit), not profile construction; each reported op carries a
 // "p50-ns" metric computed from per-call wall times.
 
-func benchmarkSubmit(b *testing.B, cfg Config) {
+func benchmarkSubmit(b *testing.B, cfg Config, shard *profile.DB) {
 	b.Helper()
 	cfg.QueueDepth = 1 << 16
 	cfg.Interval = 16
@@ -33,10 +37,9 @@ func benchmarkSubmit(b *testing.B, cfg Config) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		local := make([]time.Duration, 0, 1024)
-		db := testShard(3, 8)
+		sub := wireSub("bench", shard)
 		for pb.Next() {
-			id := shardSeq.Add(1)
-			sub := Submission{Shard: fmt.Sprintf("bench/%d", id), DB: db}
+			sub.Shard = fmt.Sprintf("bench/%d", shardSeq.Add(1))
 			start := time.Now()
 			err := s.Submit(sub)
 			if errors.Is(err, ErrQueueFull) {
@@ -68,7 +71,7 @@ func benchmarkSubmit(b *testing.B, cfg Config) {
 // only. This is what the pre-WAL 202 cost — and it promised nothing: a
 // crash lost every submission since the last checkpoint.
 func BenchmarkSubmitNoWAL(b *testing.B) {
-	benchmarkSubmit(b, Config{})
+	benchmarkSubmit(b, Config{}, testShard(3, 8))
 }
 
 // BenchmarkSubmitNoWALDurable is the durability baseline the 2× bound
@@ -94,10 +97,9 @@ func BenchmarkSubmitNoWALDurable(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		local := make([]time.Duration, 0, 1024)
-		db := testShard(3, 8)
+		sub := wireSub("bench", testShard(3, 8))
 		for pb.Next() {
-			id := shardSeq.Add(1)
-			sub := Submission{Shard: fmt.Sprintf("bench/%d", id), DB: db}
+			sub.Shard = fmt.Sprintf("bench/%d", shardSeq.Add(1))
 			start := time.Now()
 			if err := s.Submit(sub); err != nil {
 				b.Errorf("submit: %v", err)
@@ -125,12 +127,75 @@ func BenchmarkSubmitNoWALDurable(b *testing.B) {
 // natural batching: a submit joins whatever fsync is already in
 // flight). This is the configuration the 2× acceptance bound holds on.
 func BenchmarkSubmitWALDefault(b *testing.B) {
-	benchmarkSubmit(b, Config{WALDir: b.TempDir()})
+	benchmarkSubmit(b, Config{WALDir: b.TempDir()}, testShard(3, 8))
 }
 
 // BenchmarkSubmitWALWindow2ms adds a 2ms coalescing window: higher p50
 // by construction (every commit waits out the window), fewer fsyncs —
 // the trade the -fsync-window flag exposes.
 func BenchmarkSubmitWALWindow2ms(b *testing.B) {
-	benchmarkSubmit(b, Config{WALDir: b.TempDir(), FsyncWindow: 2 * time.Millisecond})
+	benchmarkSubmit(b, Config{WALDir: b.TempDir(), FsyncWindow: 2 * time.Millisecond}, testShard(3, 8))
+}
+
+// BenchmarkSubmitWALDefault600PC is BenchmarkSubmitWALDefault with a
+// realistic generated-program shard (600 PCs, 2,400 samples, ~25 KB of
+// profile bytes) instead of an 8-sample toy, so the WAL record's size
+// and framing cost show.
+func BenchmarkSubmitWALDefault600PC(b *testing.B) {
+	benchmarkSubmit(b, Config{WALDir: b.TempDir()}, wideShard(600, 3))
+}
+
+// wideShard builds a shard spread over pcs PCs, four samples each, with
+// every latency kind populated — the shape of a generated-program shard.
+func wideShard(pcs int, seed uint64) *profile.DB {
+	db := profile.NewDB(16, 0, 4)
+	for i := 0; i < 4*pcs; i++ {
+		r := core.Record{PC: 0x10000 + 4*((seed+uint64(i)*7)%uint64(pcs)), LoadComplete: -1}
+		for st := range r.StageCycle {
+			r.StageCycle[st] = int64(i + 3*st)
+		}
+		r.Events = core.EvRetired
+		if i%4 == 0 {
+			r.Events |= core.EvDCacheMiss
+		}
+		db.Add(core.Sample{First: r})
+	}
+	return db
+}
+
+// BenchmarkCheckpoint is one checkpoint snapshot of a 10,000-PC aggregate
+// with a 1,000-shard applied ledger, PMCK encode included and the file
+// write left out (its fsync is disk-bound and outside every lock). B/op
+// is the snapshot's allocation; mu-held-us/op is the part of it that
+// holds Service.mu, which every Submit, AcceptHandoff and Stats call
+// waits behind.
+func BenchmarkCheckpoint(b *testing.B) {
+	s, err := NewService(Config{Interval: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Aggregate().Merge(wideShard(10000, 1)); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		s.applied[fmt.Sprintf("bench/%04d", i)] = true
+	}
+	var held time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// snapshotCheckpoint's steps, with the locked one timed.
+		s.mu.Lock()
+		start := time.Now()
+		img, ck := s.copyCheckpointLocked()
+		held += time.Since(start)
+		s.mu.Unlock()
+		if err := encodeCheckpoint(img, ck); err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteCheckpoint(io.Discard, ck); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(held.Microseconds())/float64(b.N), "mu-held-us/op")
 }

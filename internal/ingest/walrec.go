@@ -13,8 +13,9 @@ import (
 // layering: a small JSON frame naming the record kind, wrapped around
 // the binary profile envelope of DESIGN.md §7. The WAL adds its own
 // CRC32-C frame per record, so a damaged record is cut at the WAL layer
-// before this codec ever sees it; the inner profile CRC still guards
-// against encode-time corruption.
+// before this codec ever sees it. The inner profile envelope is the
+// sender's own bytes, already CRC-checked and decoded by DecodeSubmit or
+// DecodeHandoff, staged verbatim.
 //
 // Three kinds exist. Refusals deliberately have no record: a refusal
 // is just the ABSENCE of a resolution for an admit record, and the
@@ -47,28 +48,27 @@ type walEnvelope struct {
 	Profile []byte   `json:"profile,omitempty"`
 }
 
-// encodeAdmitRecord serializes a submission for the WAL. The shard DB
-// is re-encoded rather than reusing the wire bytes because Submit's
-// callers may construct Submissions in-process (tests, replay of
-// witness copies) with no wire form at hand.
+// errNoWireBytes reports a submission or handoff built without the codec:
+// the WAL stages the verified wire bytes and has nothing else to log.
+var errNoWireBytes = errors.New("no verified profile bytes (build it with DecodeSubmit or DecodeHandoff)")
+
+// encodeAdmitRecord serializes a submission for the WAL around the
+// profile bytes DecodeSubmit verified.
 func encodeAdmitRecord(sub Submission) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := sub.DB.Save(&buf); err != nil {
-		return nil, err
+	if len(sub.wire) == 0 {
+		return nil, fmt.Errorf("shard %q: %w", sub.Shard, errNoWireBytes)
 	}
-	return json.Marshal(walEnvelope{Kind: walKindAdmit, Shard: sub.Shard, Profile: buf.Bytes()})
+	return json.Marshal(walEnvelope{Kind: walKindAdmit, Shard: sub.Shard, Profile: sub.wire})
 }
 
-// encodeHandoffRecord serializes an accepted drain handoff for the WAL.
-// The content key is carried explicitly rather than recomputed: the
-// re-serialized profile bytes need not match the wire bytes the key was
-// digested over.
+// encodeHandoffRecord serializes an accepted drain handoff for the WAL
+// around the profile bytes DecodeHandoff verified, carrying the content
+// key those bytes were digested into.
 func encodeHandoffRecord(h Handoff) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := h.DB.Save(&buf); err != nil {
-		return nil, err
+	if len(h.wire) == 0 {
+		return nil, fmt.Errorf("handoff from %q: %w", h.From, errNoWireBytes)
 	}
-	return json.Marshal(walEnvelope{Kind: walKindHandoff, From: h.From, Shards: h.Shards, Key: h.Key, Profile: buf.Bytes()})
+	return json.Marshal(walEnvelope{Kind: walKindHandoff, From: h.From, Shards: h.Shards, Key: h.Key, Profile: h.wire})
 }
 
 // encodeAdoptRecord serializes a ledger adoption (no profile payload:

@@ -36,19 +36,37 @@ type dbImage struct {
 	Accums      []PCAccum
 }
 
-// Save writes the database as a versioned, checksummed envelope.
-func (db *DB) Save(w io.Writer) error {
-	img := dbImage{
+// Image is a detached copy of a database's persistent state. Taking one
+// is an O(DB) memory copy; encoding it is the gob work. The split lets a
+// caller copy under its own locks and encode after releasing them
+// (SafeDB.Image, the ingest checkpoint). An Image shares no accumulator
+// memory with the database it came from, so later merges into that
+// database never reach an encode in progress.
+type Image struct{ img dbImage }
+
+// image copies the database: one exact-capacity accumulator slice in PC
+// order, each accumulator deep-copied because Merge updates PairMetrics
+// in place.
+func (db *DB) image() *Image {
+	pcs := db.PCs()
+	accs := make([]PCAccum, len(pcs))
+	for i, pc := range pcs {
+		accs[i] = copyAccum(db.byPC[pc])
+	}
+	return &Image{img: dbImage{
 		S: db.S, W: db.W, C: db.C, TNear: db.TNear, RetainAddrs: db.RetainAddrs,
 		Samples: db.samples, Pairs: db.pairs,
 		Lost: db.lost, CorruptRej: db.corruptRejected,
 		MetricNames: db.metricNames,
-	}
-	for _, pc := range db.PCs() {
-		img.Accums = append(img.Accums, *db.byPC[pc])
-	}
+		Accums:      accs,
+	}}
+}
+
+// Encode writes the image as a versioned, checksummed envelope — the
+// bytes DB.Save writes for the database the image was copied from.
+func (im *Image) Encode(w io.Writer) error {
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(im.img); err != nil {
 		return fmt.Errorf("profile: save: %w", err)
 	}
 	if err := dbFormat.WriteEnvelope(w, payload.Bytes()); err != nil {
@@ -56,6 +74,9 @@ func (db *DB) Save(w io.Writer) error {
 	}
 	return nil
 }
+
+// Save writes the database as a versioned, checksummed envelope.
+func (db *DB) Save(w io.Writer) error { return db.image().Encode(w) }
 
 // LoadDB reads a database written by Save. Any failure is typed with
 // frame.ErrCorrupt, frame.ErrTruncated or frame.ErrVersionSkew — never a
@@ -81,9 +102,10 @@ func LoadDB(r io.Reader) (*DB, error) {
 	db.corruptRejected = img.CorruptRej
 	db.metricNames = img.MetricNames
 	db.metricFns = make([]OverlapFunc, len(img.MetricNames)) // placeholders
+	// The map points into the decoded slice: one backing array for every
+	// accumulator instead of one heap copy per PC.
 	for i := range img.Accums {
-		a := img.Accums[i]
-		db.byPC[a.PC] = &a
+		db.byPC[img.Accums[i].PC] = &img.Accums[i]
 	}
 	return db, nil
 }

@@ -371,14 +371,20 @@ func (s *SafeDB) WindowHotPCs(window time.Duration, n int) WindowResult {
 	return s.window.Query(s.cfg.Now(), window, n)
 }
 
-// Save writes the aggregate as a versioned, checksummed envelope (read
-// lock: serialization does not mutate the database). Sketch state is
-// derived and NOT persisted; a reload reseeds it (NewSafeDBWith).
-func (s *SafeDB) Save(w io.Writer) error {
+// Image copies the aggregate's persistent state under the read lock and
+// returns it detached (see Image): the caller encodes it after the lock
+// is released, so writers wait only for the copy, never for gob. Sketch
+// state is derived and NOT persisted; a reload reseeds it
+// (NewSafeDBWith).
+func (s *SafeDB) Image() *Image {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.db.Save(w)
+	return s.db.image()
 }
+
+// Save writes the aggregate as a versioned, checksummed envelope,
+// holding the read lock only while the image is copied.
+func (s *SafeDB) Save(w io.Writer) error { return s.Image().Encode(w) }
 
 // Report renders the hot-instruction table (read lock; exact path).
 func (s *SafeDB) Report(prog *isa.Program, n int) string {
