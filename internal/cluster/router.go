@@ -328,7 +328,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	candidates := rt.submitCandidates(shard)
+	pinned := rt.placedInstance(shard)
+	candidates := rt.submitCandidates(shard, pinned)
 	var refusedBy []string
 	tried := 0
 	for _, id := range candidates {
@@ -339,27 +340,44 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Known-draining instances are skipped for NEW submissions —
 			// but a shard pinned there must still be offered first so the
 			// drain ledger can dedupe a retry of an already-merged shard.
-			if rt.placedInstance(shard) != id {
+			if pinned != id {
 				continue
 			}
 		}
 		tried++
 		status, respBody, err := rt.forwardSubmit(r.Context(), id, body)
-		if err != nil && r.Context().Err() == nil {
-			// One same-instance retry before failing over: the instance's
-			// admission ledger dedupes a duplicate delivery for free,
-			// whereas failing over on a transient blip spreads the shard
-			// to a second instance's books (a double-merge risk only the
-			// pinning discipline then contains). Skipped when the CLIENT
-			// disconnected — that isn't the instance's failure.
+		// Same-instance retries before failing over: the instance's
+		// admission ledger dedupes a duplicate delivery for free, whereas
+		// failing over on a transient blip spreads the shard to a second
+		// instance's books. An unpinned shard gets one retry. A pinned
+		// one was acknowledged by this instance, so failing over could
+		// only merge it twice: it gets pinnedTries attempts, and if all
+		// fail the client is told to retry. Skipped when the CLIENT
+		// disconnected — that isn't the instance's failure.
+		tries := 2
+		if id == pinned {
+			tries = pinnedTries
+		}
+		for k := 1; err != nil && k < tries && r.Context().Err() == nil; k++ {
+			if id == pinned && !sleepCtx(r.Context(), time.Duration(k)*pinnedBackoff) {
+				break
+			}
 			rt.submitRetries.Add(1)
 			status, respBody, err = rt.forwardSubmit(r.Context(), id, body)
 		}
 		if err != nil {
 			rt.legsFailed.Add(1)
-			if rt.health.reportFailure(id) == StateDown {
+			down := rt.health.reportFailure(id) == StateDown
+			if down {
 				rt.logf("submit shard %s: instance %s marked down (%v)", shard, id, err)
-			} else {
+			}
+			if id == pinned {
+				rt.writeErr(w, http.StatusServiceUnavailable, "pinned-unreachable",
+					fmt.Sprintf("shard %s was acknowledged by instance %s, which is unreachable (%v): retry", shard, id, err),
+					map[string]any{"instance": id})
+				return
+			}
+			if !down {
 				rt.logf("submit shard %s: instance %s unreachable (%v), failing over", shard, id, err)
 			}
 			rt.failovers.Add(1)
@@ -395,12 +413,33 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		map[string]any{"refused_by": refusedBy})
 }
 
+// Attempts and backoff step for forwarding a submission to the
+// instance it is pinned to. Four attempts ride out transient resets;
+// an instance that stays unreachable is marked down by the health
+// tracker, and only then do retries fail over past it.
+const (
+	pinnedTries   = 4
+	pinnedBackoff = 10 * time.Millisecond
+)
+
+// sleepCtx sleeps for d unless ctx ends first, and reports whether the
+// sleep completed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // submitCandidates orders the instances to try: the pinned placement
 // first (ledger stickiness across failover), then ring order from the
 // owner.
-func (rt *Router) submitCandidates(shard string) []string {
+func (rt *Router) submitCandidates(shard, pinned string) []string {
 	ringOrder := rt.ring.successors(shard, rt.ring.size())
-	pinned := rt.placedInstance(shard)
 	if pinned == "" {
 		return ringOrder
 	}

@@ -185,6 +185,105 @@ func TestRouterPlacementDedupConservation(t *testing.T) {
 	}
 }
 
+// resetSubmits is a transport that fails the next n submit requests to
+// one host before they are delivered, like a connection reset.
+type resetSubmits struct {
+	mu   sync.Mutex
+	host string
+	n    int
+}
+
+func (f *resetSubmits) arm(host string, n int) {
+	f.mu.Lock()
+	f.host, f.n = host, n
+	f.mu.Unlock()
+}
+
+func (f *resetSubmits) RoundTrip(req *http.Request) (*http.Response, error) {
+	f.mu.Lock()
+	fail := req.URL.Host == f.host && req.URL.Path == "/v1/submit" && f.n > 0
+	if fail {
+		f.n--
+	}
+	f.mu.Unlock()
+	if fail {
+		return nil, fmt.Errorf("injected: connection reset before delivery to %s", req.URL.Host)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRouterPinnedRetryNoFailover is the deterministic reproduction of a
+// nemesis-soak double-merge: a client retries an acknowledged shard and
+// the forward to the instance that acknowledged it is reset twice. The
+// router used to fail over after two attempts, and the ring successor,
+// which had never seen the shard, admitted it fresh. A pinned shard must
+// dedupe at its pinned instance, or be refused for a retry — never be
+// admitted on a second instance.
+func TestRouterPinnedRetryNoFailover(t *testing.T) {
+	faults := &resetSubmits{}
+	cfg := RouterConfig{FailureThreshold: 3, HedgeDelay: -1, Client: &http.Client{Transport: faults}}
+	byID := map[string]*tierInstance{}
+	for _, id := range []string{"c0", "c1"} {
+		byID[id] = newTierInstance(t, id, 64)
+		cfg.Instances = append(cfg.Instances, Instance{ID: id, BaseURL: byID[id].ts.URL})
+	}
+	rt, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	const shard = "pinned/s001"
+	db := synthShard(3, 40)
+	first := submitVia(t, front.URL, shard, db)
+	if first.status != http.StatusAccepted || first.Duplicate {
+		t.Fatalf("first submit: status %d duplicate %v", first.status, first.Duplicate)
+	}
+	owner := byID[first.Instance]
+	var other *tierInstance
+	for id, in := range byID {
+		if id != first.Instance {
+			other = in
+		}
+	}
+	admittedAtOther := func() bool {
+		for _, sh := range other.svc.AdmittedShards() {
+			if sh == shard {
+				return true
+			}
+		}
+		return false
+	}
+
+	// Two resets: the old budget for one instance. The retry must still
+	// dedupe at the owner.
+	faults.arm(owner.ts.Listener.Addr().String(), 2)
+	got := submitVia(t, front.URL, shard, db)
+	if got.status != http.StatusAccepted || !got.Duplicate || got.Instance != first.Instance {
+		t.Fatalf("retry through two resets: status %d duplicate %v at %s, want 202 duplicate at %s",
+			got.status, got.Duplicate, got.Instance, first.Instance)
+	}
+
+	// Every attempt reset: the client is told to retry; the successor
+	// never sees the shard.
+	faults.arm(owner.ts.Listener.Addr().String(), pinnedTries)
+	got = submitVia(t, front.URL, shard, db)
+	if got.status != http.StatusServiceUnavailable {
+		t.Fatalf("retry through %d resets: status %d at %s, want 503", pinnedTries, got.status, got.Instance)
+	}
+	if admittedAtOther() {
+		t.Fatalf("pinned shard admitted fresh at %s — double-merge", other.id)
+	}
+	got = submitVia(t, front.URL, shard, db)
+	if got.status != http.StatusAccepted || !got.Duplicate || got.Instance != first.Instance {
+		t.Fatalf("retry after the resets: status %d duplicate %v at %s", got.status, got.Duplicate, got.Instance)
+	}
+	if st := other.svc.Stats(); st.Merged != 0 || admittedAtOther() {
+		t.Fatalf("successor merged %d submissions; the pinned shard must live on one instance", st.Merged)
+	}
+}
+
 func waitForMerge(t *testing.T, instances []*tierInstance, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -3,9 +3,11 @@ package frame_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,8 +24,8 @@ import (
 type conformance struct {
 	name string
 	data []byte
-	// golden is the SHA-256 of data as written before the formats moved
-	// onto package frame; "" for PMTF, whose v2 layout is new.
+	// golden pins the SHA-256 of data: the bytes written for fixed
+	// inputs ("" for PMTF, whose v2 layout postdates the pins).
 	golden string
 	// records lists, for record-stream formats, where the stream's
 	// records start and then where each one ends: a cut exactly there
@@ -38,7 +40,13 @@ type conformance struct {
 	// A checksum or version failure in the WAL is truncation, not an
 	// error: replay keeps the intact prefix.
 	flipErr, skewErr error
+	// skewTo is the version byte written for the skew check; zero means
+	// the fixture's own version plus one.
+	skewTo byte
 }
+
+// pmdbGolden pins the PMDB v2 bytes of fixtureDB.
+const pmdbGolden = "da8e536efdb066f1ec31c0153127ff8e504d56cd6865307b6925a64c57b1c971"
 
 func fixtureDB(t *testing.T) []byte {
 	db := profile.NewDB(100, 80, 4)
@@ -73,6 +81,17 @@ func fixtureCheckpoint(t *testing.T, pmdb []byte) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// pmdbV1 is fixtureDB as the last build writing PMDB v1 (gob) saved it.
+// LoadDB still reads it: earlier builds' checkpoints, WAL records and
+// traces hold such bytes until they are rewritten as v2.
+func pmdbV1(t *testing.T) []byte {
+	b, err := os.ReadFile(filepath.Join("testdata", "pmdb-v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 var walPayloads = [][]byte{[]byte("alpha"), []byte("beta"), bytes.Repeat([]byte{0xab}, 300)}
@@ -123,18 +142,27 @@ func formats(t *testing.T) []conformance {
 	for _, p := range walPayloads {
 		walRecs = append(walRecs, walRecs[len(walRecs)-1]+frame.RecordHeaderLen+len(p))
 	}
+	loadDB := func(b []byte) (int, int64, error) {
+		_, err := profile.LoadDB(bytes.NewReader(b))
+		return one(err), -1, err
+	}
 	return []conformance{
 		{
-			name: "PMDB", data: pmdb, golden: "8adc1f5f3ae35b1fe1a9137566eee6c15af0c3d1b9c2662dd3581fdb40ad3283",
-			flips: [][2]int{{frame.HeaderLen, 0}},
-			decode: func(b []byte) (int, int64, error) {
-				_, err := profile.LoadDB(bytes.NewReader(b))
-				return one(err), -1, err
-			},
+			name: "PMDB", data: pmdb, golden: pmdbGolden,
+			flips:   [][2]int{{frame.HeaderLen, 0}},
+			decode:  loadDB,
 			flipErr: frame.ErrCorrupt, skewErr: frame.ErrVersionSkew,
 		},
 		{
-			name: "PMCK", data: fixtureCheckpoint(t, pmdb), golden: "3d049abe5faf572b300f8657dbff7848a49d6dcd08e8ee286ca4ac86ac069301",
+			// The same database in the v1 layout. Its next version is the
+			// current one, so the skew check writes the one after that.
+			name: "PMDB-v1", data: pmdbV1(t), golden: "8adc1f5f3ae35b1fe1a9137566eee6c15af0c3d1b9c2662dd3581fdb40ad3283",
+			flips:   [][2]int{{frame.HeaderLen, 0}, {frame.HeaderLen + 40, 0}},
+			decode:  loadDB,
+			flipErr: frame.ErrCorrupt, skewErr: frame.ErrVersionSkew, skewTo: 3,
+		},
+		{
+			name: "PMCK", data: fixtureCheckpoint(t, pmdb), golden: "f5bc8b16a4cfe7bb3b9d0f54092f5a75a3a0e436847c95422e13017e71bd35f4",
 			flips: [][2]int{{frame.HeaderLen, 0}},
 			decode: func(b []byte) (int, int64, error) {
 				_, err := ingest.ReadCheckpoint(bytes.NewReader(b))
@@ -185,8 +213,7 @@ func one(err error) int {
 // TestFramingConformance holds every format to one contract: a cut at
 // any byte is truncation (or, between records, a valid shorter stream),
 // a flipped payload bit is corruption, another version is skew — and
-// the bytes written for fixed inputs are the ones written before the
-// formats shared a framing package.
+// the bytes written for fixed inputs are the pinned ones.
 func TestFramingConformance(t *testing.T) {
 	for _, f := range formats(t) {
 		t.Run(f.name, func(t *testing.T) {
@@ -234,7 +261,28 @@ func TestFramingConformance(t *testing.T) {
 			}
 			skewed := append([]byte(nil), f.data...)
 			skewed[4]++
-			check("version+1", skewed, 0, 0, f.skewErr)
+			if f.skewTo != 0 {
+				skewed[4] = f.skewTo
+			}
+			check(fmt.Sprintf("version %d", skewed[4]), skewed, 0, 0, f.skewErr)
 		})
+	}
+}
+
+// TestPMDBBytesIndependentOfGobHistory saves the fixture database after
+// this process has gob-encoded other types (an unrelated struct, then a
+// checkpoint). Gob numbers types per process, so a gob-based PMDB would
+// change bytes here; v2 must not.
+func TestPMDBBytesIndependentOfGobHistory(t *testing.T) {
+	type unrelated struct {
+		Name  string
+		Peers map[string][]int
+	}
+	if err := gob.NewEncoder(io.Discard).Encode(unrelated{Name: "x", Peers: map[string][]int{"a": {1}}}); err != nil {
+		t.Fatal(err)
+	}
+	fixtureCheckpoint(t, []byte("not a database"))
+	if sum := sha256.Sum256(fixtureDB(t)); hex.EncodeToString(sum[:]) != pmdbGolden {
+		t.Fatalf("PMDB bytes depend on gob history: sha256 %x, want %s", sum, pmdbGolden)
 	}
 }

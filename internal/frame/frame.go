@@ -52,11 +52,23 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // checksum is the CRC32-C every frame carries.
 func checksum(p []byte) uint32 { return crc32.Checksum(p, crcTable) }
 
-// Format names one headed format: its 4-byte magic and the single
-// version this build writes and reads.
+// Format names one headed format: its 4-byte magic, the version this
+// build writes, and the oldest version it still reads.
 type Format struct {
 	Magic   string
 	Version uint32
+	// Oldest is the oldest version readers accept, for a format whose
+	// earlier version is still read so stored bytes can be upgraded;
+	// zero means Version only. Writers always write Version.
+	Oldest uint32
+}
+
+// oldest returns the oldest version f reads.
+func (f Format) oldest() uint32 {
+	if f.Oldest == 0 {
+		return f.Version
+	}
+	return f.Oldest
 }
 
 // Header returns the encoded header carrying word.
@@ -76,19 +88,29 @@ func (f Format) WriteHeader(w io.Writer, word uint64) error {
 }
 
 // ReadHeader reads a header and returns its word. A short read is
-// ErrTruncated, foreign magic ErrCorrupt, another version ErrVersionSkew.
+// ErrTruncated, foreign magic ErrCorrupt, a version outside
+// [Oldest, Version] ErrVersionSkew.
 func (f Format) ReadHeader(r io.Reader) (uint64, error) {
+	_, word, err := f.readHeader(r)
+	return word, err
+}
+
+func (f Format) readHeader(r io.Reader) (version uint32, word uint64, err error) {
 	var h [HeaderLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, fmt.Errorf("%s header: %w", f.Magic, ErrTruncated)
+		return 0, 0, fmt.Errorf("%s header: %w", f.Magic, ErrTruncated)
 	}
 	if string(h[0:4]) != f.Magic {
-		return 0, fmt.Errorf("%s header: bad magic %q: %w", f.Magic, h[0:4], ErrCorrupt)
+		return 0, 0, fmt.Errorf("%s header: bad magic %q: %w", f.Magic, h[0:4], ErrCorrupt)
 	}
-	if v := binary.LittleEndian.Uint32(h[4:8]); v != f.Version {
-		return 0, fmt.Errorf("%s format v%d, this build reads v%d: %w", f.Magic, v, f.Version, ErrVersionSkew)
+	version = binary.LittleEndian.Uint32(h[4:8])
+	if version < f.oldest() || version > f.Version {
+		if f.oldest() == f.Version {
+			return 0, 0, fmt.Errorf("%s format v%d, this build reads v%d: %w", f.Magic, version, f.Version, ErrVersionSkew)
+		}
+		return 0, 0, fmt.Errorf("%s format v%d, this build reads v%d-v%d: %w", f.Magic, version, f.oldest(), f.Version, ErrVersionSkew)
 	}
-	return binary.LittleEndian.Uint64(h[8:16]), nil
+	return version, binary.LittleEndian.Uint64(h[8:16]), nil
 }
 
 // WriteEnvelope writes payload as header, payload, CRC32-C trailer.
@@ -105,28 +127,47 @@ func (f Format) WriteEnvelope(w io.Writer, payload []byte) error {
 	return err
 }
 
+// SealEnvelope completes an envelope built in place: env holds HeaderLen
+// bytes of room followed by the payload. It fills in the header and
+// appends the checksum, so a writer can build the envelope in one
+// buffer and hand it to one Write.
+func (f Format) SealEnvelope(env []byte) []byte {
+	payload := env[HeaderLen:]
+	h := f.Header(uint64(len(payload)))
+	copy(env, h[:])
+	return binary.LittleEndian.AppendUint32(env, checksum(payload))
+}
+
 // ReadEnvelope reads an envelope whose declared payload length must not
 // exceed limit, and returns the checksum-verified payload.
 func (f Format) ReadEnvelope(r io.Reader, limit uint64) ([]byte, error) {
-	n, err := f.ReadHeader(r)
+	_, payload, err := f.ReadVersionedEnvelope(r, limit)
+	return payload, err
+}
+
+// ReadVersionedEnvelope is ReadEnvelope for a format that reads more
+// than one version: it also returns the version the header names, so
+// the caller picks the payload decoder from one read of the input.
+func (f Format) ReadVersionedEnvelope(r io.Reader, limit uint64) (uint32, []byte, error) {
+	version, n, err := f.readHeader(r)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if n > limit {
-		return nil, fmt.Errorf("%s declared payload %d exceeds %d: %w", f.Magic, n, limit, ErrCorrupt)
+		return 0, nil, fmt.Errorf("%s declared payload %d exceeds %d: %w", f.Magic, n, limit, ErrCorrupt)
 	}
 	payload, err := readPayload(r, int(n), nil)
 	if err != nil {
-		return nil, fmt.Errorf("%s payload: %w", f.Magic, ErrTruncated)
+		return 0, nil, fmt.Errorf("%s payload: %w", f.Magic, ErrTruncated)
 	}
 	var crc [4]byte
 	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return nil, fmt.Errorf("%s checksum: %w", f.Magic, ErrTruncated)
+		return 0, nil, fmt.Errorf("%s checksum: %w", f.Magic, ErrTruncated)
 	}
 	if got, want := checksum(payload), binary.LittleEndian.Uint32(crc[:]); got != want {
-		return nil, fmt.Errorf("%s checksum %08x != %08x: %w", f.Magic, got, want, ErrCorrupt)
+		return 0, nil, fmt.Errorf("%s checksum %08x != %08x: %w", f.Magic, got, want, ErrCorrupt)
 	}
-	return payload, nil
+	return version, payload, nil
 }
 
 // RecordHeader returns the record frame prefix for payload. Writers that

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"profileme/internal/frame"
@@ -45,6 +46,19 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Add([]byte(`{"shard":123}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte{})
+	// A PMDB v2 body of a wide generated-program shard, and the same
+	// envelope carrying v1 (gob) profile bytes as earlier builds sent.
+	wide, err := EncodeSubmit("gen/s001", wideShard(64, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wide)
+	ck, err := LoadCheckpointFile(filepath.Join(v1State, "ckpt.db"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1, _ := json.Marshal(submitEnvelope{Shard: "old/s001", Profile: ck.Profile})
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeSubmit(data)

@@ -784,7 +784,7 @@ func (s *Service) checkpoint() {
 // flight). Every state transition elsewhere is atomic under the same
 // mutex, so the snapshot can never catch a ledger entry without its
 // aggregate delta or vice versa. The profile encode runs after mu is
-// released, so Submit, AcceptHandoff and Stats never wait on gob.
+// released, so Submit, AcceptHandoff and Stats never wait on it.
 func (s *Service) snapshotCheckpoint() (*Checkpoint, error) {
 	s.mu.Lock()
 	img, ck := s.copyCheckpointLocked()

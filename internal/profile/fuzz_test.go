@@ -36,6 +36,14 @@ func FuzzLoadDB(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(dbFormat.Magic))
 	f.Add([]byte("not a profile database at all"))
+	// The same database as a v1 (gob) image, which LoadDB still reads,
+	// and a wider v2 image with pair metrics.
+	f.Add(encodeV1(f, db))
+	f.Add(saveBytes(f, wideDB(12, 1).Save))
+	// One checksum-valid image per v2 decoder invariant.
+	for _, m := range invariantMutants(f) {
+		f.Add(m.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadDB(bytes.NewReader(data))
@@ -46,11 +54,20 @@ func FuzzLoadDB(f *testing.F) {
 			}
 			return
 		}
-		// Accepted: the database must answer queries without blowing up.
+		// Accepted: the database must answer queries without blowing up,
+		// and re-save to bytes that load back to the same bytes.
 		for _, pc := range got.PCs() {
 			got.EstimatedCount(pc)
 		}
 		_ = got.Report(nil, 20)
 		_ = got.LossRate()
+		saved := saveBytes(t, got.Save)
+		again, err := LoadDB(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatalf("re-saved database does not load: %v", err)
+		}
+		if !bytes.Equal(saveBytes(t, again.Save), saved) {
+			t.Fatal("save/load round trip changed the bytes")
+		}
 	})
 }

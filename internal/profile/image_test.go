@@ -42,10 +42,9 @@ func saveBytes(t testing.TB, save func(io.Writer) error) []byte {
 	return buf.Bytes()
 }
 
-// TestSaveByteIdentity pins the copy/encode split to the bytes the
-// format has always had: a loaded image re-saves to the same bytes,
-// and the SafeDB path (copy under the lock, encode outside it) writes
-// exactly what the plain DB writes.
+// TestSaveByteIdentity pins the copy/encode split: a loaded image
+// re-saves to the same bytes, and the SafeDB path (copy under the lock,
+// encode outside it) writes exactly what the plain DB writes.
 func TestSaveByteIdentity(t *testing.T) {
 	_, small := saveImage(t)
 	for name, db := range map[string]*DB{
@@ -144,7 +143,7 @@ func TestImageDetachedFromMerges(t *testing.T) {
 
 // allocBytesPerOp returns the mean bytes allocated by one call of f.
 func allocBytesPerOp(runs int, f func()) uint64 {
-	f() // warm gob's type cache
+	f()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -156,9 +155,11 @@ func allocBytesPerOp(runs int, f func()) uint64 {
 }
 
 // TestSaveAllocCeiling bounds what one Save allocates relative to the
-// bytes it writes. Appending accumulators to a capacity-less slice and
-// sorting through an interface once cost 20× (600 PCs) and 32× (9,600
-// PCs) the image size; the exact-capacity copy keeps it near 14×.
+// bytes it writes, the caller's pre-grown buffer included. The gob
+// encoder cost about 14× the image. The v2 encoder's row references
+// and sort scratch measure 2.1× at 600 PCs and 1.8× at 9,600; the
+// ceiling also leaves room for a GC emptying the envelope-buffer pool
+// once in the five runs.
 func TestSaveAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -172,15 +173,16 @@ func TestSaveAllocCeiling(t *testing.T) {
 			_ = db.Save(&buf)
 		})
 		t.Logf("%d PCs: image %d B, Save allocates %d B/op (%.1f×)", n, size, per, float64(per)/float64(size))
-		if per > 16*uint64(size) {
-			t.Errorf("%d PCs: Save allocates %d B/op, over 16× the %d-byte image", n, per, size)
+		if max := 2.75; float64(per) > max*float64(size) {
+			t.Errorf("%d PCs: Save allocates %d B/op, over %.2f× the %d-byte image", n, per, max, size)
 		}
 	}
 }
 
 // TestLoadDBAllocCeiling bounds the allocations of decoding a 600-PC
-// shard, the per-submit decode cost. The accumulators share one backing
-// array; a heap copy per PC would add 600.
+// shard, the per-submit decode cost. The decoder allocates O(1): the
+// payload, the database and its map, one accumulator array, one value
+// array, the metric names. It measures 14; gob took about 4,800.
 func TestLoadDBAllocCeiling(t *testing.T) {
 	img := saveBytes(t, wideDB(600, 4).Save)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -189,7 +191,38 @@ func TestLoadDBAllocCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("LoadDB of a 600-PC shard: %.0f allocs", allocs)
-	if max := 5100.0; allocs > max {
+	if max := 18.0; allocs > max {
 		t.Errorf("LoadDB of a 600-PC shard: %.0f allocs, over the %.0f ceiling", allocs, max)
+	}
+}
+
+// BenchmarkLoadDB600 decodes a 600-PC shard image, the per-submit
+// decode cost.
+func BenchmarkLoadDB600(b *testing.B) {
+	img := saveBytes(b, wideDB(600, 4).Save)
+	b.SetBytes(int64(len(img)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadDB(bytes.NewReader(img)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSave10k encodes a 10,000-PC aggregate, the checkpoint's
+// profile encode.
+func BenchmarkSave10k(b *testing.B) {
+	db := wideDB(10000, 2)
+	var buf bytes.Buffer
+	buf.Grow(len(saveBytes(b, db.Save)))
+	b.SetBytes(int64(buf.Cap()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := db.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

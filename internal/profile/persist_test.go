@@ -79,7 +79,7 @@ func TestLoadVersionSkewTyped(t *testing.T) {
 	}
 
 	// A naked gob body (no envelope) is not a database: bad magic.
-	naked := dbImage{S: 100, W: 80, C: 4, Samples: 3}
+	naked := v1Image{S: 100, W: 80, C: 4, Samples: 3}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(naked); err != nil {
 		t.Fatal(err)

@@ -373,7 +373,7 @@ func (s *SafeDB) WindowHotPCs(window time.Duration, n int) WindowResult {
 
 // Image copies the aggregate's persistent state under the read lock and
 // returns it detached (see Image): the caller encodes it after the lock
-// is released, so writers wait only for the copy, never for gob. Sketch
+// is released, so writers wait only for the copy, never the encode. Sketch
 // state is derived and NOT persisted; a reload reseeds it
 // (NewSafeDBWith).
 func (s *SafeDB) Image() *Image {
